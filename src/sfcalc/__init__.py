@@ -90,7 +90,6 @@ from .terms import (
     atom,
     classify,
     free_vars,
-    is_factorable,
     spine,
     substitute,
     var,

@@ -181,8 +181,7 @@ def _cmd_eq(args, out, err) -> int:
         if not t.closed:
             print(f"error: {label} term is not closed", file=err)
             return EXIT_ERROR
-        check = normalize(t, calc, budget=args.budget)
-        if not (check.is_normal and check.steps_taken == 0):
+        if not normalize(t, calc, budget=0).is_normal:
             print(f"error: {label} term is not a normal form", file=err)
             return EXIT_ERROR
     outcome = normalize(app(program, a, b), calc, budget=args.budget)
@@ -537,7 +536,8 @@ def main(
             return _cmd_demo(args, out, err)
         raise AssertionError(args.command)
     except (ParseError, PolishError, CalculusError, LambdaParseError,
-            MachineError, PreludeError, OSError, ValueError) as exc:
+            MachineError, PreludeError, OSError, ValueError,
+            RecursionError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_ERROR
 

@@ -15,11 +15,13 @@ whose first argument is variable-headed can never fire; a term is
 "stuck" (rather than normal) when such positions remain, which requires
 an open term.
 
-Two engines implement the same strategy: a step-at-a-time stepper that
-produces Step records for traces, and a stack machine that normalizes
-without re-scanning from the root.  They fire identical rules at
-identical positions in identical order; the test suite checks this
-exhaustively at small sizes.
+One engine implements normal order: a stack machine that normalizes
+without re-scanning from the root.  Its frames know where the working
+term sits, so when tracing it also records each Step (path, rule, and
+the whole term before and after).  The test suite keeps the plain
+root-rescanning stepper as a reference oracle and checks the machine
+against it step by step.  Applicative order is a simple rescanning
+loop.
 """
 
 from __future__ import annotations
@@ -109,26 +111,7 @@ def _fire(u: Term) -> Optional[tuple[str, Term]]:
     return None  # first argument must stabilize first
 
 
-# --- step-at-a-time steppers -------------------------------------------------
-
-
-def _find_normal(t: Term) -> Optional[tuple[tuple[int, ...], str, Term]]:
-    """Leftmost-outermost fireable position, by preorder scan.
-
-    The F exception needs no special casing here: a fully applied F
-    whose first argument is not yet factorable simply fails to fire, and
-    the preorder continues down the spine into that first argument.
-    """
-    stack: list[tuple[tuple[int, ...], Term]] = [((), t)]
-    while stack:
-        path, u = stack.pop()
-        hit = _fire(u)
-        if hit is not None:
-            return path, hit[0], hit[1]
-        if isinstance(u, App):
-            stack.append((path + (1,), u.arg))
-            stack.append((path + (0,), u.fun))
-    return None
+# --- applicative order -------------------------------------------------------
 
 
 def _find_applicative(t: Term) -> Optional[tuple[tuple[int, ...], str, Term]]:
@@ -149,20 +132,7 @@ def _find_applicative(t: Term) -> Optional[tuple[tuple[int, ...], str, Term]]:
     return None
 
 
-def step_once(
-    t: Term, calc: Calculus, strategy: Strategy = Strategy.NORMAL
-) -> Optional[Step]:
-    """The unique strategy-selected step, or None if no step exists."""
-    check_calculus(t, calc)
-    find = _find_normal if strategy is Strategy.NORMAL else _find_applicative
-    hit = find(t)
-    if hit is None:
-        return None
-    path, rule, contractum = hit
-    return Step(path, rule, before=t, after=replace_at(t, path, contractum))
-
-
-# --- stack machine for untraced normal-order runs ----------------------------
+# --- stack machine for normal order -------------------------------------------
 
 
 def _rebuild(stack: list, w: Term) -> Term:
@@ -182,16 +152,33 @@ def _rebuild(stack: list, w: Term) -> Term:
     return w
 
 
-def _machine_normalize(t: Term, budget: int) -> tuple[Term, int, bool]:
+def _path(stack: list, extras: list) -> tuple[int, ...]:
+    """Path from the root to the redex under the working term's extras."""
+    path: list[int] = []
+    for frame in stack:
+        if frame[0] == "f":
+            path += [0] * (len(frame[3]) + 2)  # F w a2 a3 extras: w is arg 1
+        else:
+            path += [0] * (len(frame[2]) - 1 - frame[3])
+        path.append(1)
+    path += [0] * len(extras)
+    return tuple(path)
+
+
+def _machine_normalize(
+    t: Term, budget: int, trace: bool = False
+) -> tuple[Term, int, bool, tuple[Step, ...]]:
     """Normal-order normalization without root re-scans.
 
-    Returns (term, steps, finished).  The machine alternates between
-    stabilizing the head of the working term (firing spine redexes,
-    deferring a fully applied F by pushing an "f" frame and descending
-    into its first argument) and normalizing the arguments of stabilized
-    spines left to right ("a" frames).
+    Returns (term, steps, finished, trail); the trail of Steps is empty
+    unless tracing.  The machine alternates between stabilizing the head
+    of the working term (firing spine redexes, deferring a fully applied
+    F by pushing an "f" frame and descending into its first argument)
+    and normalizing the arguments of stabilized spines left to right
+    ("a" frames).
     """
     steps = 0
+    trail: list[Step] = []
     stack: list = []  # "f" frames: ["f", a2, a3, extras]; "a": ["a", head, args, i]
     w = t
     up = False  # True: w is fully normal, deliver to the top frame
@@ -224,11 +211,15 @@ def _machine_normalize(t: Term, budget: int) -> tuple[Term, int, bool]:
                 if hit is None:  # blocked F spine (stable, unfireable)
                     break
                 if steps >= budget:
-                    return _rebuild(stack, w), steps, False
+                    return _rebuild(stack, w), steps, False, tuple(trail)
                 steps += 1
                 w = hit[1]
                 for e in extras:
                     w = App(w, e)
+                if trace:
+                    before = trail[-1].after if trail else t
+                    after = _rebuild(stack, w)
+                    trail.append(Step(_path(stack, extras), hit[0], before, after))
             if defer:
                 continue
             # w is head-stable: factorable, variable-headed, or blocked-F.
@@ -250,7 +241,7 @@ def _machine_normalize(t: Term, budget: int) -> tuple[Term, int, bool]:
             continue
         # up: w is fully normal (or, under an "f" frame, head-stable).
         if not stack:
-            return w, steps, True
+            return w, steps, True, tuple(trail)
         frame = stack[-1]
         if frame[0] == "a":
             _, headleaf, args, i = frame
@@ -324,17 +315,16 @@ def normalize(
     left are variable-headed fully applied Fs (open terms only).
     """
     check_calculus(t, calc)
-    if strategy is Strategy.NORMAL and not trace:
-        term, n, finished = _machine_normalize(t, budget)
+    if strategy is Strategy.NORMAL:
+        term, n, finished, steps = _machine_normalize(t, budget, trace)
         if finished:
-            return _finish(term, n, ())
-        return ReduceOutcome(Status.BUDGET, term, n)
-    find = _find_normal if strategy is Strategy.NORMAL else _find_applicative
+            return _finish(term, n, steps)
+        return ReduceOutcome(Status.BUDGET, term, n, steps)
     trail: list[Step] = []
     current = t
     taken = 0
     while True:
-        hit = find(current)
+        hit = _find_applicative(current)
         if hit is None:
             return _finish(current, taken, tuple(trail))
         if taken >= budget:
@@ -345,6 +335,14 @@ def normalize(
             trail.append(Step(path, rule, before=current, after=after))
         current = after
         taken += 1
+
+
+def step_once(
+    t: Term, calc: Calculus, strategy: Strategy = Strategy.NORMAL
+) -> Optional[Step]:
+    """The unique strategy-selected step, or None if no step exists."""
+    steps = normalize(t, calc, strategy, budget=1, trace=True).steps
+    return steps[0] if steps else None
 
 
 def render_trace(steps: Iterable[Step]) -> str:

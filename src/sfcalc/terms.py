@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import zlib
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional
+from typing import Mapping, Optional
 
 # --- operators and calculi -------------------------------------------------
 
@@ -243,12 +243,6 @@ def classify(t: Term, calc: Calculus) -> Classification:
     return Classification(Verdict.REDEX)
 
 
-def is_factorable(t: Term, calc: Calculus) -> bool:
-    """True iff t is an atom or a compound (the F rules can inspect it)."""
-    v = classify(t, calc).verdict
-    return v is Verdict.ATOM_HEAD or v is Verdict.COMPOUND
-
-
 # --- structural helpers ----------------------------------------------------
 
 
@@ -341,13 +335,3 @@ def substitute(t: Term, bindings: Mapping[str, Term]) -> Term:
                 done[id(node)] = App(fun, arg)
     return done.get(id(t), t)
 
-
-def iter_subterms(t: Term) -> Iterator[tuple[tuple[int, ...], Term]]:
-    """Preorder (path, subterm) pairs."""
-    stack: list[tuple[tuple[int, ...], Term]] = [((), t)]
-    while stack:
-        path, node = stack.pop()
-        yield path, node
-        if isinstance(node, App):
-            stack.append((path + (1,), node.arg))
-            stack.append((path + (0,), node.fun))

@@ -103,6 +103,9 @@ class TestEq:
         code, out, err = run("eq", "FFSS", "S")
         assert code == EXIT_ERROR
         assert "left term is not a normal form" in err
+        # A divergent operand is rejected without being normalized.
+        code, out, err = run("eq", "S i i (S (S S) (S S))", "S", "--budget", "20000")
+        assert (code, out, err) == (EXIT_ERROR, "", "error: left term is not a normal form\n")
 
     def test_eq_rejects_open_operand(self):
         code, out, err = run("eq", "S", "x")
@@ -189,6 +192,11 @@ class TestLambda:
     def test_open_lambda_term_rejected(self):
         code, out, err = run("lambda", "0")
         assert code == EXIT_ERROR
+
+    def test_deep_nesting_is_an_error_not_a_traceback(self):
+        code, out, err = run("lambda", "\\" * 3000 + "0")
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err.startswith("error:")
 
 
 class TestTuringRun:

@@ -1,12 +1,14 @@
-"""Rewrite rules, strategies, tracing, budgets, and the fast/slow parity."""
+"""Rewrite rules, strategies, tracing, budgets, and the machine against
+the reference stepper."""
 
 from __future__ import annotations
 
+import random
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
+from sfcalc.models import enumerate_closed_terms, random_closed_term
 from sfcalc.reduction import (
     DEFAULT_BUDGET,
     RULE_F_ATOM,
@@ -23,6 +25,8 @@ from sfcalc.reduction import (
 from sfcalc.syntax import parse, render
 from sfcalc.terms import App, Atom, Calculus, F, K, S, Var, app, subterm_at
 
+from normal_order_oracle import reference_normalize
+
 SK = Calculus.SK
 SF = Calculus.SF
 
@@ -33,9 +37,46 @@ def nf(text, calc, **kw):
     return render(out.term)
 
 
-def closed_terms_st(calc):
-    leaves = st.sampled_from(sorted(calc.operators)).map(Atom)
-    return st.recursive(leaves, lambda sub: st.builds(App, sub, sub), max_leaves=10)
+BUDGETS = (0, 3, 40, 300)
+CALCS = pytest.mark.parametrize("calc", [SK, SF], ids=["sk", "sf"])
+
+
+def random_open_term(calc, size, rng):
+    """A random term of exactly `size` nodes (odd) over calc's operators
+    and the variables x, y."""
+    if size == 1:
+        return rng.choice([Atom(o) for o in sorted(calc.operators)] + [Var("x"), Var("y")])
+    left = rng.randrange(1, size - 1, 2)
+    return App(random_open_term(calc, left, rng), random_open_term(calc, size - 1 - left, rng))
+
+
+def key(t):
+    """Terms compared by hash and size: `==` walks the tree, too slow here."""
+    return t.h, t.size
+
+
+def outcome_key(o):
+    return o.status, o.steps_taken, o.reason, key(o.term)
+
+
+def step_key(s):
+    return s.path, s.rule, key(s.before), key(s.after)
+
+
+def assert_matches_oracle(t, calc, budgets=BUDGETS):
+    """The machine agrees with the reference stepper at every budget, on
+    the outcome and on every traced step, and so does step_once."""
+    for budget in budgets:
+        want = reference_normalize(t, budget)
+        plain = normalize(t, calc, budget=budget)
+        traced = normalize(t, calc, budget=budget, trace=True)
+        assert outcome_key(plain) == outcome_key(want), (t, budget)
+        assert outcome_key(traced) == outcome_key(want), (t, budget)
+        assert plain.steps == ()
+        assert list(map(step_key, traced.steps)) == list(map(step_key, want.steps)), (t, budget)
+    first = step_once(t, calc)
+    want = reference_normalize(t, 1).steps
+    assert ([] if first is None else [step_key(first)]) == list(map(step_key, want)), t
 
 
 class TestRules:
@@ -126,29 +167,53 @@ class TestNormalize:
     def test_default_budget(self):
         assert DEFAULT_BUDGET == 100_000
 
-    def test_machine_and_stepper_agree_on_examples(self):
+
+class TestMachineAgainstOracle:
+    def test_examples(self):
         for text in ("SKSK", "S(KK)(KK)S", "K(KK)(SKK)", "SSSSSS"):
-            fast = normalize(parse(text, SK), SK)
-            slow = normalize(parse(text, SK), SK, trace=True)
-            assert fast.term == slow.term
-            assert fast.steps_taken == slow.steps_taken
+            assert_matches_oracle(parse(text, SK), SK)
+        for text in ("F(SSSS)MN", "F x M N", "S(FF)(FF)(F(SS)x)", "F(F(Fy)ab)MN"):
+            assert_matches_oracle(parse(text, SF), SF)
 
-    @settings(max_examples=150)
-    @given(closed_terms_st(SF))
-    def test_machine_and_stepper_parity_sf(self, t):
-        fast = normalize(t, SF, budget=300)
-        slow = normalize(t, SF, budget=300, trace=True)
-        assert fast.status is slow.status
-        assert fast.term == slow.term
-        assert fast.steps_taken == slow.steps_taken
+    def test_budget_stops(self):
+        # Divergent terms, stopped at the root, inside argument frames and
+        # inside a deferred F's first argument.
+        w_sk, w_sf = "S(SKK)(SKK)", "S(S(FF)(FF))(S(FF)(FF))"  # λx. x x
+        for text, calc in (
+            (f"{w_sk}({w_sk})", SK),
+            (f"{w_sk}(S(SS)(SS))", SK),
+            (f"{w_sk}(SSS(SS))", SK),
+            (f"x (S ({w_sk}({w_sk})))", SK),
+            (f"{w_sf}({w_sf})", SF),
+            (f"F ({w_sf}({w_sf})) M N", SF),
+            (f"S S (F ({w_sf}({w_sf})) M N) x y", SF),
+        ):
+            t = parse(text, calc)
+            assert normalize(t, calc, budget=300).status is Status.BUDGET, text
+            assert_matches_oracle(t, calc, budgets=(*range(41), 300))
 
-    @settings(max_examples=100)
-    @given(closed_terms_st(SK))
-    def test_machine_and_stepper_parity_sk(self, t):
-        fast = normalize(t, SK, budget=300)
-        slow = normalize(t, SK, budget=300, trace=True)
-        assert fast.status is slow.status
-        assert fast.term == slow.term
+    @CALCS
+    def test_closed_terms_up_to_9_nodes(self, calc):
+        terms = enumerate_closed_terms(calc, 9)
+        assert len(terms) == 550
+        for t in terms:
+            assert_matches_oracle(t, calc)
+
+    @CALCS
+    def test_random_closed_terms(self, calc):
+        rng = random.Random(11)
+        for i in range(300):
+            assert_matches_oracle(random_closed_term(calc, 11 + 2 * (i % 4), rng), calc)
+
+    @CALCS
+    def test_random_open_terms(self, calc):
+        rng = random.Random(5)
+        stuck = 0
+        for i in range(1000):
+            t = random_open_term(calc, 5 + 2 * (i % 8), rng)
+            assert_matches_oracle(t, calc)
+            stuck += normalize(t, calc, budget=300).status is Status.STUCK
+        assert (stuck > 0) == (calc is SF)  # only F terms can go stuck
 
 
 class TestTrace:
