@@ -9,6 +9,9 @@ catalog exactly; the test suite asserts that round trip.
 Run from the repository root:
 
     python scripts/gen_prelude.py
+
+It takes no arguments; given any, it prints a usage line and exits with
+status 2 without writing.
 """
 
 from __future__ import annotations
@@ -59,14 +62,19 @@ def prelude_text(calc: Calculus) -> str:
     return "\n".join(lines) + "\n"
 
 
-def main() -> None:
+def main(argv: list[str]) -> int:
+    if argv:
+        print("usage: python scripts/gen_prelude.py  (takes no arguments)",
+              file=sys.stderr)
+        return 2
     for calc in (Calculus.SK, Calculus.SF):
         path = SRC / "sfcalc" / f"prelude.{calc.value}"
         text = prelude_text(calc)
         path.write_text(text, encoding="utf-8")
         bindings = sum(1 for line in text.splitlines() if line.startswith("let "))
         print(f"wrote {path} ({bindings} bindings)")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(sys.argv[1:]))

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import sys
 from importlib import resources
 from typing import IO, Mapping, Sequence
@@ -115,7 +116,13 @@ def parse_prelude(
 
 def load_default_prelude(calc: Calculus) -> dict[str, Term]:
     """The packaged prelude for the calculus (same bindings as the
-    combinator catalog)."""
+    combinator catalog), as a new dict the caller may extend."""
+    return dict(_packaged_prelude(calc))
+
+
+@functools.cache
+def _packaged_prelude(calc: Calculus) -> dict[str, Term]:
+    """Parsed once per calculus; callers get copies, so it never changes."""
     text = (
         resources.files("sfcalc").joinpath(f"prelude.{calc.value}").read_text()
     )

@@ -22,6 +22,13 @@ the whole term before and after).  The test suite keeps the plain
 root-rescanning stepper as a reference oracle and checks the machine
 against it step by step.  Applicative order is a simple rescanning
 loop.
+
+Untraced normal order is call by need within one call: the S-rule
+copies its third argument before it is normal, and the machine reduces
+each argument object once, then reuses its normal form wherever the same
+object sits again as an argument.  Each reuse charges the steps the copy
+would have taken, and none is made that would cross the budget, so step
+counts, statuses and budget-stop terms are those of reduction on trees.
 """
 
 from __future__ import annotations
@@ -144,7 +151,7 @@ def _rebuild(stack: list, w: Term) -> Term:
             for e in extras:
                 w = App(w, e)
         else:
-            _, headleaf, args, i = frame
+            _, headleaf, args, i, _ = frame
             u = headleaf
             for j, a in enumerate(args):
                 u = App(u, w if j == i else a)
@@ -176,10 +183,28 @@ def _machine_normalize(
     F by pushing an "f" frame and descending into its first argument)
     and normalizing the arguments of stabilized spines left to right
     ("a" frames).
+
+    Untraced runs share work within the call (call by need): when an "a"
+    frame receives the normal form of its argument, it records the
+    argument object, that normal form and the steps they took.  When an
+    "a" frame meets the same object again, it charges the recorded steps
+    and takes the normal form instead of reducing the copy.  The count
+    stays the tree count because an "a" frame normalizes its argument on
+    its own: the steps an argument takes do not depend on where it sits.
+    A reuse that would cross the budget is not made, so the copy is
+    reduced and the budget stop falls on the same step and term.  What an
+    "f" frame receives is only head-stable, so it is never recorded.  The
+    memo lives for one call; kept longer, repeated calls would report
+    different counts.
     """
     steps = 0
     trail: list[Step] = []
-    stack: list = []  # "f" frames: ["f", a2, a3, extras]; "a": ["a", head, args, i]
+    # id(argument) -> (argument, its normal form, steps taken); holding
+    # the argument keeps its id from being reused within the call.
+    memo: Optional[dict[int, tuple[Term, Term, int]]] = None if trace else {}
+    # "f" frames: ["f", a2, a3, extras]; "a" frames: ["a", head, args, i,
+    # steps when the normalization of args[i] began].
+    stack: list = []
     w = t
     up = False  # True: w is fully normal, deliver to the top frame
     while True:
@@ -236,20 +261,36 @@ def _machine_normalize(
                 args.append(node.arg)
                 node = node.fun
             args.reverse()
-            stack.append(["a", node, args, 0])
+            stack.append(["a", node, args, 0, steps])
             w = args[0]
+            if memo is not None:
+                known = memo.get(id(w))
+                if known is not None and steps + known[2] <= budget:
+                    steps += known[2]
+                    w = known[1]
+                    up = True
             continue
         # up: w is fully normal (or, under an "f" frame, head-stable).
         if not stack:
             return w, steps, True, tuple(trail)
         frame = stack[-1]
         if frame[0] == "a":
-            _, headleaf, args, i = frame
+            _, headleaf, args, i, entered = frame
+            if memo is not None:
+                src = args[i]
+                memo[id(src)] = (src, w, steps - entered)
             args[i] = w
             if i + 1 < len(args):
                 frame[3] = i + 1
+                frame[4] = steps
                 w = args[i + 1]
                 up = False
+                if memo is not None:
+                    known = memo.get(id(w))
+                    if known is not None and steps + known[2] <= budget:
+                        steps += known[2]
+                        w = known[1]
+                        up = True
             else:
                 stack.pop()
                 u = headleaf
@@ -272,7 +313,7 @@ def _machine_normalize(
                 # whole; go straight to its argument phase (re-entering
                 # stabilization would defer the same F forever).
                 args = [w, a2, a3] + extras
-                stack.append(["a", F, args, 0])
+                stack.append(["a", F, args, 0, steps])
                 up = False
 
 

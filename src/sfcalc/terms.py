@@ -4,7 +4,9 @@ Terms are immutable binary application trees over operator atoms and
 variables.  Every node caches its size, spine-head operator, applied
 argument count, closedness, operator bitmask, and hash at construction
 time, so head classification and calculus legality checks are O(1) and
-structural equality can shortcut on hashes.
+structural equality can shortcut on hashes.  Equality visits each pair
+of nodes once, so comparing shared terms costs their DAG size, not their
+tree size.
 """
 
 from __future__ import annotations
@@ -79,6 +81,9 @@ class Term:
             return NotImplemented
         if self.h != other.h or self.size != other.size:
             return False
+        # Walk the pair DAG, not the tree: a pair of shared nodes met
+        # again was already found equal or is still on the stack.
+        seen: set[tuple[int, int]] = set()
         stack = [(self, other)]
         while stack:
             a, b = stack.pop()
@@ -90,6 +95,10 @@ class Term:
             if ta is App:
                 if a.h != b.h:
                     return False
+                pair = (id(a), id(b))
+                if pair in seen:
+                    continue
+                seen.add(pair)
                 stack.append((a.fun, b.fun))
                 stack.append((a.arg, b.arg))
             elif a.name != b.name:  # Atom or Var

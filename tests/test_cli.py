@@ -397,6 +397,16 @@ class TestPrelude:
         assert render(sf["k"]) == "FF"
 
     @pytest.mark.parametrize("calc", [Calculus.SK, Calculus.SF])
+    def test_default_prelude_is_a_fresh_copy(self, calc):
+        first = load_default_prelude(calc)
+        second = load_default_prelude(calc)
+        assert first == second and first is not second
+        first["k"] = parse("S", calc)
+        first["extra"] = parse("S", calc)
+        third = load_default_prelude(calc)
+        assert third == second and "extra" not in third
+
+    @pytest.mark.parametrize("calc", [Calculus.SK, Calculus.SF])
     def test_default_prelude_reproduces_the_catalog(self, calc):
         # scripts/gen_prelude.py writes the packaged files from the
         # catalog; loading them back must give the same bindings.

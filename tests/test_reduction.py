@@ -8,6 +8,7 @@ import re
 
 import pytest
 
+from sfcalc.lambda_bridge import LambdaStatus, beta_normalize, bracket_abstract, parse_lambda
 from sfcalc.models import enumerate_closed_terms, random_closed_term
 from sfcalc.reduction import (
     DEFAULT_BUDGET,
@@ -214,6 +215,40 @@ class TestMachineAgainstOracle:
             assert_matches_oracle(t, calc)
             stuck += normalize(t, calc, budget=300).status is Status.STUCK
         assert (stuck > 0) == (calc is SF)  # only F terms can go stuck
+
+
+def assert_memo_is_step_exact(t, calc, top):
+    """Untraced runs, which reuse shared arguments' normal forms, match
+    the memo-free traced run at budgets 0-59 and every 29th up to top."""
+    ref = normalize(t, calc, budget=top, trace=True)
+    terms = [t] + [s.after for s in ref.steps]
+    for budget in (*range(min(60, top + 1)), *range(60, top + 1, 29)):
+        if budget < ref.steps_taken or ref.status is Status.BUDGET:
+            want = (Status.BUDGET, budget, None, key(terms[budget]))
+        else:
+            want = outcome_key(ref)
+        assert outcome_key(normalize(t, calc, budget=budget)) == want, (render(t), budget)
+
+
+class TestCallByNeed:
+    def test_self_application_budget_stops(self):
+        # S x y z ~> x z (y z) copies z before it is normal, so these runs
+        # meet the same argument object again and again.
+        lterm = parse_lambda("λ0 0")
+        reduced = beta_normalize(lterm)
+        assert reduced.status is LambdaStatus.NORMAL
+        translations = {bracket_abstract(lterm, SK), bracket_abstract(reduced.term, SK)}
+        for w in translations:  # the two translations coincide for λ0 0
+            for probe in ("S(SS)(SS)", "SSS(SS)"):
+                assert_memo_is_step_exact(App(w, parse(probe, SK)), SK, top=1510)
+
+    def test_deferred_f_argument_is_not_reused_as_normal(self):
+        # SS z (F z) ~> S (F z) (z (F z)): the "f" frame that stabilizes
+        # z's head sees the same object that an argument frame later
+        # normalizes in full.
+        t = parse("S(SS)F(SS(SF(SS))(SS))", SF)
+        assert normalize(t, SF).steps_taken == 19
+        assert_memo_is_step_exact(t, SF, top=40)
 
 
 class TestTrace:

@@ -67,6 +67,20 @@ class TestConstruction:
         assert App(S, K) != App(K, S)
         assert len({App(S, K), App(S, K), App(K, S)}) == 2
 
+    def test_equality_walks_shared_nodes_once(self):
+        def tower(leaf, depth=64):  # 2**65 - 1 tree nodes, 65 distinct ones
+            t = leaf
+            for _ in range(depth):
+                t = App(t, t)
+            return t
+
+        assert tower(Var("x")) == tower(Var("x"))
+        # Different names with the same hash: every level agrees on hash
+        # and size, so only the walk down to the leaves can tell them apart.
+        a, b = Var("v29685295"), Var("v32060020")
+        assert a.h == b.h and a != b
+        assert tower(a) != tower(b)
+
     def test_app_helper_left_associates(self):
         assert app(S, K, F) == App(App(S, K), F)
         assert app(S) == S
