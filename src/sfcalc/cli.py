@@ -17,9 +17,9 @@ Subcommands:
 Exit codes: 0 success, 1 error or failed check, 2 usage, 3 budget
 exhausted.
 
-Terms on the command line may use names from the prelude shipped with
-the package (see `prelude.sf` / `prelude.sk`); `--prelude FILE` adds
-bindings of the form `let name = term;` on top.
+Terms on the command line may use the names of the combinator catalog
+(`stdlib.build_catalog`); `--prelude FILE` adds bindings of the form
+`let name = term;` on top.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import argparse
 import contextlib
 import functools
 import sys
-from importlib import resources
 from typing import IO, Mapping, Sequence
 
 from .lambda_bridge import LambdaParseError, bracket_abstract, parse_lambda
@@ -48,6 +47,7 @@ from .reduction import (
     normalize,
     render_trace,
 )
+from .stdlib import build_catalog, catalog_terms
 from .syntax import ParseError, PolishError, from_polish, parse, render, to_polish
 from .terms import Calculus, CalculusError, S, Term, app, free_vars, substitute
 from .turing import (
@@ -115,18 +115,15 @@ def parse_prelude(
 
 
 def load_default_prelude(calc: Calculus) -> dict[str, Term]:
-    """The packaged prelude for the calculus (same bindings as the
-    combinator catalog), as a new dict the caller may extend."""
+    """The combinator catalog's bindings for the calculus, as a new dict
+    the caller may extend."""
     return dict(_packaged_prelude(calc))
 
 
 @functools.cache
 def _packaged_prelude(calc: Calculus) -> dict[str, Term]:
-    """Parsed once per calculus; callers get copies, so it never changes."""
-    text = (
-        resources.files("sfcalc").joinpath(f"prelude.{calc.value}").read_text()
-    )
-    return parse_prelude(text, calc)
+    """Built once per calculus; callers get copies, so it never changes."""
+    return catalog_terms(build_catalog(calc))
 
 
 def _load_bindings(args: argparse.Namespace, err: IO[str]) -> dict[str, Term]:
@@ -434,14 +431,23 @@ class _UsageError(Exception):
     pass
 
 
-def _add_common(p: argparse.ArgumentParser, strategy: bool = True) -> None:
+def _add_calc(p: argparse.ArgumentParser) -> None:
     p.add_argument("--calc", choices=("sk", "sf"), default="sf",
                    help="combinator calculus (default sf)")
+
+
+def _add_common(
+    p: argparse.ArgumentParser, strategy: bool = True, budget: bool = True
+) -> None:
+    """--calc and --prelude, with --strategy and --budget where the
+    command reduces."""
+    _add_calc(p)
     if strategy:
         p.add_argument("--strategy", choices=("normal", "applicative"),
                        default="normal", help="reduction strategy")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help=f"reduction step budget (default {DEFAULT_BUDGET})")
+    if budget:
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                       help=f"reduction step budget (default {DEFAULT_BUDGET})")
     p.add_argument("--prelude", metavar="FILE",
                    help="extra prelude file of let bindings")
 
@@ -468,16 +474,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("godel", help="code of a closed term (or --decode)")
     p.add_argument("value")
     p.add_argument("--decode", action="store_true", help="treat value as a code")
-    _add_common(p, strategy=False)
+    _add_common(p, strategy=False, budget=False)
 
     p = sub.add_parser("polish", help="Polish word of a closed term (or --decode)")
     p.add_argument("value")
     p.add_argument("--decode", action="store_true", help="treat value as a word")
-    _add_common(p, strategy=False)
+    _add_common(p, strategy=False, budget=False)
 
     p = sub.add_parser("lambda", help="translate a de Bruijn lambda term")
     p.add_argument("expr")
-    _add_common(p, strategy=False)
+    _add_calc(p)
 
     p = sub.add_parser("tm", help="Turing machine commands")
     tsub = p.add_subparsers(dest="tm_command", required=True)

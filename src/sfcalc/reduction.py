@@ -410,12 +410,13 @@ def extensionally_agree(
     budget: int = DEFAULT_BUDGET,
 ) -> bool:
     """True iff a and b behave identically on every probe: a X and b X
-    both normalize to the same term, or both exhaust the budget."""
+    both normalize to the same term, both get stuck on the same term, or
+    both exhaust the budget."""
     for probe in probes:
         ra = normalize(App(a, probe), calc, Strategy.NORMAL, budget)
         rb = normalize(App(b, probe), calc, Strategy.NORMAL, budget)
         if ra.status is not rb.status:
             return False
-        if ra.status is Status.NORMAL and ra.term != rb.term:
+        if ra.status is not Status.BUDGET and ra.term != rb.term:
             return False
     return True

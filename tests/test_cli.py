@@ -10,6 +10,7 @@ from __future__ import annotations
 import io
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sfcalc.cli import (
     EXIT_BUDGET,
@@ -340,6 +341,98 @@ class TestUsage:
         assert code == EXIT_OK
         assert "usage" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("godel", "S", "--budget", "5"),
+            ("polish", "S", "--budget", "5"),
+            ("lambda", "λ0", "--budget", "5"),
+            ("lambda", "λ0", "--prelude", "extra.sf"),
+        ],
+        ids=["godel-budget", "polish-budget", "lambda-budget", "lambda-prelude"],
+    )
+    def test_option_the_command_does_not_use_is_rejected(self, argv):
+        code, out, err = run(*argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "usage error" in err
+
+
+# Fuzzed command lines.  `check` and `demo` take seconds each, and budgets
+# stay small: the term left at a large budget stop can be huge.  Text
+# mixes noise with text built by a grammar (combinator terms, de Bruijn
+# lambdas), so that some of it parses.
+NOISE = st.text(alphabet="SKFxyzkic0123()λ\\ #AX_", max_size=24)
+
+
+def _grammar(leaves: list[str], binder: bool) -> st.SearchStrategy[str]:
+    def extend(sub):
+        app = st.builds(lambda fun, arg: f"{fun}({arg})", sub, sub)
+        return st.one_of(app, sub.map(lambda body: f"λ{body}")) if binder else app
+
+    built = st.recursive(st.sampled_from(leaves), extend, max_leaves=6)
+    return st.one_of(NOISE, built.filter(lambda text: len(text) <= 24))
+
+
+TERM_TEXT = _grammar(["S", "K", "F", "x", "k", "i", "c2"], binder=False)
+LAMBDA_TEXT = _grammar(["0", "1", "2"], binder=True)
+CALC = st.sampled_from(["sk", "sf"])
+SMALL_BUDGET = st.integers(-2, 20).map(str)
+ARGV_TOKENS = st.sampled_from([
+    "reduce", "trace", "eq", "godel", "polish", "lambda", "tm", "run",
+    "--calc", "sk", "sf", "--strategy", "normal", "applicative", "--budget",
+    "--prelude", "--decode", "--via-code", "@equality", "@identity", "--help",
+])
+
+
+def _small_budget(argv: list[str]) -> list[str]:
+    """reduce, trace and eq default to a large budget; the last --budget wins."""
+    if argv[:1] in (["reduce"], ["trace"], ["eq"]):
+        return argv + ["--budget", "20"]
+    return argv
+
+
+FUZZ_ARGV = st.one_of(
+    st.builds(
+        lambda cmd, term, calc, strategy, budget: [
+            cmd, term, "--calc", calc, "--strategy", strategy, "--budget", budget
+        ],
+        st.sampled_from(["reduce", "trace"]), TERM_TEXT, CALC,
+        st.sampled_from(["normal", "applicative"]), SMALL_BUDGET,
+    ),
+    st.builds(
+        lambda left, right, calc, via, budget: [
+            "eq", left, right, "--calc", calc, "--budget", budget, *via
+        ],
+        TERM_TEXT, TERM_TEXT, CALC, st.sampled_from([[], ["--via-code"]]),
+        SMALL_BUDGET,
+    ),
+    st.builds(
+        lambda cmd, value, calc, decode: [cmd, value, "--calc", calc, *decode],
+        st.sampled_from(["godel", "polish"]), TERM_TEXT, CALC,
+        st.sampled_from([[], ["--decode"]]),
+    ),
+    st.builds(
+        lambda expr, calc, decode: ["lambda", expr, "--calc", calc, *decode],
+        LAMBDA_TEXT, CALC, st.sampled_from([[], ["--decode"]]),
+    ),
+    st.builds(
+        lambda machine, word: ["tm", "run", machine, word],
+        st.sampled_from(["@equality", "@identity"]),
+        st.one_of(NOISE, st.text(alphabet="ASFK#", max_size=24)),
+    ),
+    st.lists(st.one_of(ARGV_TOKENS, NOISE), max_size=6).map(_small_budget),
+)
+
+
+class TestFuzz:
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(FUZZ_ARGV)
+    def test_every_argv_ends_in_a_documented_exit_code(self, argv):
+        code, out, err = run(*argv)
+        assert code in (EXIT_OK, EXIT_ERROR, EXIT_USAGE, EXIT_BUDGET)
+        assert "Traceback" not in err
+        assert len(out) < 200_000
+
 
 class TestPrelude:
     def test_user_prelude_layers_on_default(self, tmp_path):
@@ -408,12 +501,12 @@ class TestPrelude:
 
     @pytest.mark.parametrize("calc", [Calculus.SK, Calculus.SF])
     def test_default_prelude_reproduces_the_catalog(self, calc):
-        # scripts/gen_prelude.py writes the packaged files from the
-        # catalog; loading them back must give the same bindings.
+        # The CLI's default names are the catalog's entries, in catalog
+        # order, so a command line means what the catalog defines.
         from sfcalc.stdlib import build_catalog
 
         catalog = build_catalog(calc)
         bindings = load_default_prelude(calc)
-        assert set(bindings) == set(catalog)
+        assert list(bindings) == list(catalog)
         for name, entry in catalog.items():
             assert bindings[name] == entry.body, name

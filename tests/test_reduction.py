@@ -297,3 +297,9 @@ class TestExtensionalAgreement:
     def test_budget_mismatch_counts_as_disagreement(self):
         omega = parse("S(SKK)(SKK)(S(SKK)(SKK))", SK)
         assert not extensionally_agree(App(K, omega), App(K, K), SK, [K], budget=200)
+
+    def test_stuck_outcomes_are_compared(self):
+        left, right = parse("F x M", SF), parse("F x N", SF)
+        assert normalize(App(left, S), SF).status is Status.STUCK
+        assert not extensionally_agree(left, right, SF, [S])
+        assert extensionally_agree(left, left, SF, [S])
