@@ -79,16 +79,13 @@ from .terms import (
     Atom,
     Calculus,
     CalculusError,
-    Classification,
     F,
     K,
     S,
     Term,
     Var,
-    Verdict,
     app,
     atom,
-    classify,
     free_vars,
     spine,
     substitute,

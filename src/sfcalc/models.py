@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from math import isqrt
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Generator, Iterable, Sequence, Union
 
 from .reduction import Status, normalize
 from .syntax import render
@@ -98,7 +98,26 @@ DEFAULT_REC_BUDGET = 1_000_000
 
 
 def rec_arity(f: RecFn) -> int:
-    """The arity of f; raises ArityError if f is not arity-consistent."""
+    """The arity of f; raises ArityError if f is not arity-consistent.
+
+    Iterative, for deeply nested f: each node's check is a generator that
+    yields the parts whose arities it needs, and is sent them back."""
+    known: dict[int, int] = {}  # id(part) -> arity; f keeps every part alive
+    stack = [(f, _arity_check(f))]
+    arity = None
+    while stack:
+        try:
+            part = stack[-1][1].send(arity)
+        except StopIteration as done:
+            arity = known[id(stack.pop()[0])] = done.value
+        else:
+            arity = known.get(id(part))
+            if arity is None:
+                stack.append((part, _arity_check(part)))
+    return arity
+
+
+def _arity_check(f: RecFn) -> Generator[RecFn, int, int]:
     if isinstance(f, (Zero, Succ)):
         return 1
     if isinstance(f, Proj):
@@ -108,23 +127,23 @@ def rec_arity(f: RecFn) -> int:
     if isinstance(f, Comp):
         if not f.inners:
             raise ArityError("composition needs at least one inner function")
-        if rec_arity(f.outer) != len(f.inners):
-            raise ArityError(
-                f"outer arity {rec_arity(f.outer)} != {len(f.inners)} inner functions"
-            )
-        arities = {rec_arity(g) for g in f.inners}
+        outer = yield f.outer
+        if outer != len(f.inners):
+            raise ArityError(f"outer arity {outer} != {len(f.inners)} inner functions")
+        arities = set()
+        for g in f.inners:
+            arities.add((yield g))
         if len(arities) != 1:
             raise ArityError(f"inner functions disagree on arity: {sorted(arities)}")
         return arities.pop()
     if isinstance(f, PrimRec):
-        k = rec_arity(f.base)
-        if rec_arity(f.step) != k + 2:
-            raise ArityError(
-                f"recursion step must be {k + 2}-ary, got {rec_arity(f.step)}"
-            )
+        k = yield f.base
+        step = yield f.step
+        if step != k + 2:
+            raise ArityError(f"recursion step must be {k + 2}-ary, got {step}")
         return k + 1
     if isinstance(f, Mu):
-        k = rec_arity(f.body)
+        k = yield f.body
         if k < 2:
             raise ArityError("minimised body must be at least binary")
         return k - 1

@@ -18,10 +18,11 @@ an open term.
 One engine implements normal order: a stack machine that normalizes
 without re-scanning from the root.  Its frames know where the working
 term sits, so when tracing it also records each Step (path, rule, and
-the whole term before and after).  The test suite keeps the plain
-root-rescanning stepper as a reference oracle and checks the machine
-against it step by step.  Applicative order is a simple rescanning
-loop.
+the whole term before and after).  Applicative order is a walk over a
+zipper of pending ancestors that, after each step, resumes at the
+contractum instead of rescanning from the root (refocusing).  The test
+suite keeps plain root-rescanning steppers for both strategies as
+reference oracles and checks both engines against them step by step.
 
 Untraced normal order is call by need within one call: the S-rule
 copies its third argument before it is normal, and the machine reduces
@@ -45,7 +46,6 @@ from .terms import (
     F,
     Term,
     check_calculus,
-    replace_at,
     subterm_at,
 )
 
@@ -121,22 +121,75 @@ def _fire(u: Term) -> Optional[tuple[str, Term]]:
 # --- applicative order -------------------------------------------------------
 
 
-def _find_applicative(t: Term) -> Optional[tuple[tuple[int, ...], str, Term]]:
-    """Rightmost-innermost fireable position: arguments before functions,
-    children before their node."""
-    stack: list[tuple[tuple[int, ...], Term, bool]] = [((), t, False)]
-    while stack:
-        path, u, visited = stack.pop()
-        if not visited:
-            stack.append((path, u, True))
-            if isinstance(u, App):
-                stack.append((path + (0,), u.fun, False))
-                stack.append((path + (1,), u.arg, False))
+def _plug(stack: list, w: Term) -> Term:
+    """w plugged into the pending ancestors; unchanged ones are reused."""
+    for side, p, x in reversed(stack):
+        if side:
+            w = p if w is p.arg else App(p.fun, w)
         else:
-            hit = _fire(u)
+            w = p if w is p.fun and x is p.arg else App(w, x)
+    return w
+
+
+def _applicative_normalize(
+    t: Term, budget: int, trace: bool = False
+) -> tuple[Term, int, bool, tuple[Step, ...]]:
+    """Applicative-order normalization by refocusing; returns (term,
+    steps, finished, trail) like the normal-order machine.
+
+    The walk visits a node's argument, then its function, then the node,
+    and fires the first fireable node it meets.  What it visited before is
+    disjoint from the redex, unchanged by the step and holds no fireable
+    node, so the walk resumes at the contractum instead of at the root.
+    The redex's own subterms were visited too, so only the nodes the rule
+    builds need a check: three for the S-rule, two for F-compound.
+
+    The stack is a zipper of pending ancestors: (1, node, ready) while in
+    node.arg, with node.fun next (its children normal when ready), and
+    (0, node, arg) while in node.fun, arg being node.arg's normal form.
+    The whole term is rebuilt only for a traced step or a budget stop.
+    """
+    steps = 0
+    trail: list[Step] = []
+    stack: list = []
+    w = t
+    ready = False  # True: w's children are normal, check w itself
+    while True:
+        if not ready:
+            while isinstance(w, App):
+                stack.append((1, w, False))
+                w = w.arg
+        else:
+            hit = _fire(w)
             if hit is not None:
-                return path, hit[0], hit[1]
-    return None
+                if steps >= budget:
+                    return _plug(stack, w), steps, False, tuple(trail)
+                steps += 1
+                rule, w = hit
+                if trace:
+                    before = trail[-1].after if trail else t
+                    path = tuple(frame[0] for frame in stack)
+                    trail.append(Step(path, rule, before, _plug(stack, w)))
+                if rule == RULE_S:  # x z (y z): check y z, x z, the whole
+                    stack.append((1, w, True))
+                    w = w.arg
+                    continue
+                if rule == RULE_F_COMPOUND:  # N P Q: check N P, the whole
+                    stack.append((0, w, w.arg))
+                    w = w.fun
+                    continue
+                # K and F-atom: the contractum is a subterm of the redex,
+                # so it is normal.
+        # w is normal: hand it to the nearest pending ancestor.
+        if not stack:
+            return w, steps, True, tuple(trail)
+        side, p, x = stack.pop()
+        if side:
+            stack.append((0, p, w))
+            w, ready = p.fun, x
+        else:
+            w = p if w is p.fun and x is p.arg else App(w, x)
+            ready = True
 
 
 # --- stack machine for normal order -------------------------------------------
@@ -356,26 +409,11 @@ def normalize(
     left are variable-headed fully applied Fs (open terms only).
     """
     check_calculus(t, calc)
-    if strategy is Strategy.NORMAL:
-        term, n, finished, steps = _machine_normalize(t, budget, trace)
-        if finished:
-            return _finish(term, n, steps)
-        return ReduceOutcome(Status.BUDGET, term, n, steps)
-    trail: list[Step] = []
-    current = t
-    taken = 0
-    while True:
-        hit = _find_applicative(current)
-        if hit is None:
-            return _finish(current, taken, tuple(trail))
-        if taken >= budget:
-            return ReduceOutcome(Status.BUDGET, current, taken, tuple(trail))
-        path, rule, contractum = hit
-        after = replace_at(current, path, contractum)
-        if trace:
-            trail.append(Step(path, rule, before=current, after=after))
-        current = after
-        taken += 1
+    run = _machine_normalize if strategy is Strategy.NORMAL else _applicative_normalize
+    term, n, finished, steps = run(t, budget, trace)
+    if finished:
+        return _finish(term, n, steps)
+    return ReduceOutcome(Status.BUDGET, term, n, steps)
 
 
 def step_once(

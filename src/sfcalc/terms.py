@@ -3,7 +3,7 @@
 Terms are immutable binary application trees over operator atoms and
 variables.  Every node caches its size, spine-head operator, applied
 argument count, closedness, operator bitmask, and hash at construction
-time, so head classification and calculus legality checks are O(1) and
+time, so rule matching and calculus legality checks are O(1) and
 structural equality can shortcut on hashes.  Equality visits each pair
 of nodes once, so comparing shared terms costs their DAG size, not their
 tree size.
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import enum
 import zlib
-from dataclasses import dataclass
 from typing import Mapping, Optional
 
 # --- operators and calculi -------------------------------------------------
@@ -48,6 +47,16 @@ _OP_MASKS = {
 
 class CalculusError(ValueError):
     """A term mentions an operator that is illegal in the given calculus."""
+
+
+def check_calculus(t: Term, calc: Calculus) -> None:
+    """Raise CalculusError if t mentions an operator illegal in calc."""
+    if t.ops & ~calc.op_mask:
+        bad = [o for o, bit in _OP_BIT.items() if t.ops & bit & ~calc.op_mask]
+        raise CalculusError(
+            f"operator {', '.join(sorted(bad))} is illegal in"
+            f" {calc.name}-calculus"
+        )
 
 
 # --- term nodes ------------------------------------------------------------
@@ -204,54 +213,6 @@ def app(fun: Term, *args: Term) -> Term:
     return fun
 
 
-# --- head classification ---------------------------------------------------
-
-
-class Verdict(enum.Enum):
-    ATOM_HEAD = "atom"
-    COMPOUND = "compound"
-    REDEX = "redex"
-    VAR_HEADED = "var-headed"
-
-
-@dataclass(frozen=True)
-class Classification:
-    """Head status of a term; compounds carry their two components."""
-
-    verdict: Verdict
-    left: Optional[Term] = None
-    right: Optional[Term] = None
-
-
-def check_calculus(t: Term, calc: Calculus) -> None:
-    """Raise CalculusError if t mentions an operator illegal in calc."""
-    if t.ops & ~calc.op_mask:
-        bad = [o for o, bit in _OP_BIT.items() if t.ops & bit & ~calc.op_mask]
-        raise CalculusError(
-            f"operator {', '.join(sorted(bad))} is illegal in"
-            f" {calc.name}-calculus"
-        )
-
-
-def classify(t: Term, calc: Calculus) -> Classification:
-    """Head classification: atom, compound, redex, or variable-headed.
-
-    A compound is a partially applied operator (S or F applied to one or
-    two arguments, K applied to one); a spine head applied to at least
-    its arity makes the term a redex.  Classification is syntactic: the
-    components of a compound need not be normal forms.
-    """
-    check_calculus(t, calc)
-    head = t.head
-    if head is None:
-        return Classification(Verdict.VAR_HEADED)
-    if t.nargs == 0:
-        return Classification(Verdict.ATOM_HEAD)
-    if t.nargs < ARITY[head]:
-        return Classification(Verdict.COMPOUND, t.fun, t.arg)
-    return Classification(Verdict.REDEX)
-
-
 # --- structural helpers ----------------------------------------------------
 
 
@@ -272,24 +233,6 @@ def subterm_at(t: Term, path: tuple[int, ...]) -> Term:
             raise IndexError(f"path {path} leaves the term")
         t = t.arg if step else t.fun
     return t
-
-
-def replace_at(t: Term, path: tuple[int, ...], new: Term) -> Term:
-    """Copy of t with the subterm at path replaced by new."""
-    trail: list[App] = []
-    node = t
-    for step in path:
-        if not isinstance(node, App):
-            raise IndexError(f"path {path} leaves the term")
-        trail.append(node)
-        node = node.arg if step else node.fun
-    result = new
-    for step, parent in zip(reversed(path), reversed(trail)):
-        if step:
-            result = App(parent.fun, result)
-        else:
-            result = App(result, parent.arg)
-    return result
 
 
 def free_vars(t: Term) -> frozenset[str]:

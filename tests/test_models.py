@@ -18,6 +18,7 @@ from sfcalc.models import (
     Mu,
     PrimRec,
     Proj,
+    RecOutcome,
     build_probe_corpus,
     cantor_pair,
     cantor_unpair,
@@ -36,6 +37,7 @@ from sfcalc.models import (
 )
 from sfcalc.syntax import render
 from sfcalc.terms import App, Calculus, F, S, Var, app
+from sfcalc.witnesses import rec_const
 
 SK = Calculus.SK
 SF = Calculus.SF
@@ -69,6 +71,11 @@ class TestRecArity:
     def test_eval_checks_argument_count(self):
         with pytest.raises(ArityError):
             eval_rec(SUCC, [1, 2])
+
+    def test_deeply_nested_program_runs_out_of_budget(self):
+        # The arity check walks 5000 nested compositions without recursion,
+        # so the evaluator gets to charge its budget.
+        assert eval_rec(rec_const(5000, 1), [0], budget=100) == RecOutcome("budget", None, 100)
 
 
 class TestEvalRec:

@@ -1,5 +1,5 @@
-"""Rewrite rules, strategies, tracing, budgets, and the machine against
-the reference stepper."""
+"""Rewrite rules, strategies, tracing, budgets, and both engines against
+the reference steppers."""
 
 from __future__ import annotations
 
@@ -8,6 +8,8 @@ import re
 
 import pytest
 
+from sfcalc import reduction
+from sfcalc.cli import load_default_prelude
 from sfcalc.lambda_bridge import LambdaStatus, beta_normalize, bracket_abstract, parse_lambda
 from sfcalc.models import enumerate_closed_terms, random_closed_term
 from sfcalc.reduction import (
@@ -24,12 +26,13 @@ from sfcalc.reduction import (
     step_once,
 )
 from sfcalc.syntax import parse, render
-from sfcalc.terms import App, Atom, Calculus, F, K, S, Var, app, subterm_at
+from sfcalc.terms import App, Atom, Calculus, F, K, S, Var, app, subterm_at, substitute
 
-from normal_order_oracle import reference_normalize
+from normal_order_oracle import reference_applicative, reference_normalize
 
 SK = Calculus.SK
 SF = Calculus.SF
+REFERENCES = {Strategy.NORMAL: reference_normalize, Strategy.APPLICATIVE: reference_applicative}
 
 
 def nf(text, calc, **kw):
@@ -64,19 +67,20 @@ def step_key(s):
     return s.path, s.rule, key(s.before), key(s.after)
 
 
-def assert_matches_oracle(t, calc, budgets=BUDGETS):
-    """The machine agrees with the reference stepper at every budget, on
+def assert_matches_oracle(t, calc, budgets=BUDGETS, strategy=Strategy.NORMAL):
+    """The engine agrees with the reference stepper at every budget, on
     the outcome and on every traced step, and so does step_once."""
+    reference = REFERENCES[strategy]
     for budget in budgets:
-        want = reference_normalize(t, budget)
-        plain = normalize(t, calc, budget=budget)
-        traced = normalize(t, calc, budget=budget, trace=True)
+        want = reference(t, budget)
+        plain = normalize(t, calc, strategy, budget=budget)
+        traced = normalize(t, calc, strategy, budget=budget, trace=True)
         assert outcome_key(plain) == outcome_key(want), (t, budget)
         assert outcome_key(traced) == outcome_key(want), (t, budget)
         assert plain.steps == ()
         assert list(map(step_key, traced.steps)) == list(map(step_key, want.steps)), (t, budget)
-    first = step_once(t, calc)
-    want = reference_normalize(t, 1).steps
+    first = step_once(t, calc, strategy)
+    want = reference(t, 1).steps
     assert ([] if first is None else [step_key(first)]) == list(map(step_key, want)), t
 
 
@@ -170,11 +174,16 @@ class TestNormalize:
 
 
 class TestMachineAgainstOracle:
+    strategy = Strategy.NORMAL
+
+    def check(self, t, calc, budgets=BUDGETS):
+        assert_matches_oracle(t, calc, budgets, self.strategy)
+
     def test_examples(self):
         for text in ("SKSK", "S(KK)(KK)S", "K(KK)(SKK)", "SSSSSS"):
-            assert_matches_oracle(parse(text, SK), SK)
+            self.check(parse(text, SK), SK)
         for text in ("F(SSSS)MN", "F x M N", "S(FF)(FF)(F(SS)x)", "F(F(Fy)ab)MN"):
-            assert_matches_oracle(parse(text, SF), SF)
+            self.check(parse(text, SF), SF)
 
     def test_budget_stops(self):
         # Divergent terms, stopped at the root, inside argument frames and
@@ -190,21 +199,21 @@ class TestMachineAgainstOracle:
             (f"S S (F ({w_sf}({w_sf})) M N) x y", SF),
         ):
             t = parse(text, calc)
-            assert normalize(t, calc, budget=300).status is Status.BUDGET, text
-            assert_matches_oracle(t, calc, budgets=(*range(41), 300))
+            assert normalize(t, calc, self.strategy, budget=300).status is Status.BUDGET, text
+            self.check(t, calc, budgets=(*range(41), 300))
 
     @CALCS
     def test_closed_terms_up_to_9_nodes(self, calc):
         terms = enumerate_closed_terms(calc, 9)
         assert len(terms) == 550
         for t in terms:
-            assert_matches_oracle(t, calc)
+            self.check(t, calc)
 
     @CALCS
     def test_random_closed_terms(self, calc):
         rng = random.Random(11)
         for i in range(300):
-            assert_matches_oracle(random_closed_term(calc, 11 + 2 * (i % 4), rng), calc)
+            self.check(random_closed_term(calc, 11 + 2 * (i % 4), rng), calc)
 
     @CALCS
     def test_random_open_terms(self, calc):
@@ -212,9 +221,45 @@ class TestMachineAgainstOracle:
         stuck = 0
         for i in range(1000):
             t = random_open_term(calc, 5 + 2 * (i % 8), rng)
-            assert_matches_oracle(t, calc)
-            stuck += normalize(t, calc, budget=300).status is Status.STUCK
+            self.check(t, calc)
+            stuck += normalize(t, calc, self.strategy, budget=300).status is Status.STUCK
         assert (stuck > 0) == (calc is SF)  # only F terms can go stuck
+
+
+class TestApplicativeAgainstOracle(TestMachineAgainstOracle):
+    """The same cases for the refocusing walk against the rescanning
+    applicative stepper, plus the Church arithmetic of the CLI."""
+
+    strategy = Strategy.APPLICATIVE
+
+    @CALCS
+    def test_church_arithmetic(self, calc):
+        names = load_default_prelude(calc)
+        for op in ("plus", "times"):
+            for x in range(4):
+                for y in range(4):
+                    self.check(substitute(parse(f"{op} c{x} c{y}", calc), names), calc)
+
+
+class TestApplicativeWork:
+    @CALCS
+    def test_fire_checks_are_bounded_by_size_plus_three_per_step(self, calc, monkeypatch):
+        # Each node of the input is checked once, and each step adds at
+        # most the three nodes an S-rule builds; a walk that rescans from
+        # the root after every step costs about steps x size instead.
+        t = substitute(parse("plus c2 c3", calc), load_default_prelude(calc))
+        checks = 0
+        fire = reduction._fire
+
+        def counting_fire(u):
+            nonlocal checks
+            checks += 1
+            return fire(u)
+
+        monkeypatch.setattr(reduction, "_fire", counting_fire)
+        out = normalize(t, calc, Strategy.APPLICATIVE)
+        assert out.status is Status.NORMAL and out.steps_taken > 50
+        assert checks <= t.size + 3 * out.steps_taken, (checks, t.size, out.steps_taken)
 
 
 def assert_memo_is_step_exact(t, calc, top):

