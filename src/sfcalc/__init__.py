@@ -87,7 +87,6 @@ from .terms import (
     app,
     atom,
     free_vars,
-    spine,
     substitute,
     var,
 )

@@ -5,9 +5,12 @@ Subcommands:
 * reduce / trace: normalize a term (trace prints every step).
 * eq: run the in-calculus structural equality program on two closed
   SF normal forms (optionally the code-comparing variant).
-* godel: code of a closed term, or the term for a code (--decode).
+* godel: code of a closed term, or the term for a code (--decode);
+  codes past `models.MAX_CODE_DIGITS` digits are refused.
 * polish: Polish word of a closed term, or the term for a word (--decode).
-* lambda: translate a de Bruijn lambda term into the calculus.
+* lambda: translate a de Bruijn lambda term into the calculus; a
+  translation that could pass `lambda_bridge.MAX_ABSTRACTION_NODES`
+  nodes is refused.
 * tm run: run a Turing machine from a machine file on a word
   (@equality and @identity name the built-in machines).
 * check sim / check weakequiv: run a named empirical check and print its
@@ -20,6 +23,9 @@ exhausted.
 Terms on the command line may use the names of the combinator catalog
 (`stdlib.build_catalog`); `--prelude FILE` adds bindings of the form
 `let name = term;` on top.
+
+`main` parses argv with the process's one parser (`build_parser`) and
+calls the handler that the subcommand sets as `run`.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from typing import IO, Mapping, Sequence
 
 from .lambda_bridge import LambdaParseError, bracket_abstract, parse_lambda
 from .models import (
+    MAX_CODE_DIGITS,
     build_probe_corpus,
     enumerate_normal_forms,
     eval_rec,
@@ -117,19 +124,13 @@ def parse_prelude(
 def load_default_prelude(calc: Calculus) -> dict[str, Term]:
     """The combinator catalog's bindings for the calculus, as a new dict
     the caller may extend."""
-    return dict(_packaged_prelude(calc))
-
-
-@functools.cache
-def _packaged_prelude(calc: Calculus) -> dict[str, Term]:
-    """Built once per calculus; callers get copies, so it never changes."""
     return catalog_terms(build_catalog(calc))
 
 
 def _load_bindings(args: argparse.Namespace, err: IO[str]) -> dict[str, Term]:
     calc = _calc(args)
     bindings = load_default_prelude(calc)
-    if getattr(args, "prelude", None):
+    if args.prelude:
         with open(args.prelude, encoding="utf-8") as fh:
             bindings = parse_prelude(fh.read(), calc, base=bindings, warn=err)
     return bindings
@@ -140,24 +141,16 @@ def _parse_term(source: str, args: argparse.Namespace, err: IO[str]) -> Term:
 
 
 def _calc(args: argparse.Namespace) -> Calculus:
-    return Calculus.SK if args.calc == "sk" else Calculus.SF
-
-
-def _strategy(args: argparse.Namespace) -> Strategy:
-    return (
-        Strategy.APPLICATIVE
-        if getattr(args, "strategy", "normal") == "applicative"
-        else Strategy.NORMAL
-    )
+    return Calculus(args.calc)
 
 
 # --- subcommand implementations ---------------------------------------------------
 
 
-def _cmd_reduce(args, out, err, traced: bool) -> int:
+def _cmd_reduce(args, out, err, traced: bool = False) -> int:
     term = _parse_term(args.term, args, err)
     outcome = normalize(
-        term, _calc(args), _strategy(args), args.budget, trace=traced
+        term, _calc(args), Strategy(args.strategy), args.budget, trace=traced
     )
     if traced:
         trace = render_trace(outcome.steps)
@@ -204,7 +197,7 @@ def _cmd_eq(args, out, err) -> int:
 
 def _cmd_godel(args, out, err) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(2_000_000)
+        sys.set_int_max_str_digits(MAX_CODE_DIGITS)
     calc = _calc(args)
     if args.decode:
         term = gterm(int(args.value), calc)
@@ -291,9 +284,10 @@ def _show_application(program: Term, probe: Term, calc: Calculus, budget: int) -
     return f"({outcome.status.value})"
 
 
-def _demo_identity_pair(args, out, calc: Calculus) -> int:
+def _demo_identity_pair(args, out) -> int:
     """Two identity programs that no amount of black-box probing can tell
     apart: applied to anything, both return it."""
+    calc = _calc(args)
     bindings = load_default_prelude(calc)
     k = bindings["k"]
     left = app(S, k, k)
@@ -409,14 +403,17 @@ def _demo_turing_equality(args, out) -> int:
     return exit_code
 
 
+#: Demo name to walkthrough; the keys, in order, are `demo`'s choices.
+_DEMOS = {
+    "skk-sks": _demo_identity_pair,
+    "sf-equality": _demo_sf_equality,
+    "sf-recursive-equiv": _demo_sf_recursive_equiv,
+    "turing-equality": _demo_turing_equality,
+}
+
+
 def _cmd_demo(args, out, err) -> int:
-    if args.name == "skk-sks":
-        return _demo_identity_pair(args, out, _calc(args))
-    if args.name == "sf-equality":
-        return _demo_sf_equality(args, out)
-    if args.name == "sf-recursive-equiv":
-        return _demo_sf_recursive_equiv(args, out)
-    return _demo_turing_equality(args, out)
+    return _DEMOS[args.name](args, out)
 
 
 # --- parser ----------------------------------------------------------------------
@@ -452,17 +449,22 @@ def _add_common(
                    help="extra prelude file of let bindings")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use.  Every leaf
+    subcommand carries its handler as the `run` default."""
     parser = _Parser(prog="sfcalc", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("reduce", help="normalize a term")
     p.add_argument("term")
     _add_common(p)
+    p.set_defaults(run=_cmd_reduce)
 
     p = sub.add_parser("trace", help="normalize a term, printing every step")
     p.add_argument("term")
     _add_common(p)
+    p.set_defaults(run=functools.partial(_cmd_reduce, traced=True))
 
     p = sub.add_parser("eq", help="structural equality of two SF normal forms")
     p.add_argument("left")
@@ -470,20 +472,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--via-code", action="store_true",
                    help="compare codes instead of running the direct program")
     _add_common(p, strategy=False)
+    p.set_defaults(run=_cmd_eq)
 
     p = sub.add_parser("godel", help="code of a closed term (or --decode)")
     p.add_argument("value")
     p.add_argument("--decode", action="store_true", help="treat value as a code")
     _add_common(p, strategy=False, budget=False)
+    p.set_defaults(run=_cmd_godel)
 
     p = sub.add_parser("polish", help="Polish word of a closed term (or --decode)")
     p.add_argument("value")
     p.add_argument("--decode", action="store_true", help="treat value as a word")
     _add_common(p, strategy=False, budget=False)
+    p.set_defaults(run=_cmd_polish)
 
     p = sub.add_parser("lambda", help="translate a de Bruijn lambda term")
     p.add_argument("expr")
     _add_calc(p)
+    p.set_defaults(run=_cmd_lambda)
 
     p = sub.add_parser("tm", help="Turing machine commands")
     tsub = p.add_subparsers(dest="tm_command", required=True)
@@ -491,22 +497,22 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("machine", help="machine file, or @equality / @identity")
     pr.add_argument("word")
     pr.add_argument("--budget", type=int, default=1_000_000)
+    pr.set_defaults(run=_cmd_tm_run)
 
     p = sub.add_parser("check", help="run a named empirical check")
     p.add_argument("kind", choices=("sim", "weakequiv"))
     p.add_argument("name", nargs="?", help="case name, or 'all'")
     p.add_argument("--list", action="store_true", help="list case names")
     p.add_argument("--tsv", action="store_true", help="emit tab-separated rows")
+    p.set_defaults(run=_cmd_check)
 
     p = sub.add_parser("demo", help="scripted walkthroughs")
-    p.add_argument(
-        "name",
-        choices=("skk-sks", "sf-equality", "sf-recursive-equiv", "turing-equality"),
-    )
+    p.add_argument("name", choices=tuple(_DEMOS))
     p.add_argument("--calc", choices=("sk", "sf"), default="sk",
                    help="calculus for skk-sks (default sk)")
     p.add_argument("--seed", type=int, default=0, help="probe corpus seed")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.set_defaults(run=_cmd_demo)
 
     return parser
 
@@ -529,25 +535,7 @@ def main(
         print(f"usage error: {exc}", file=err)
         return EXIT_USAGE
     try:
-        if args.command == "reduce":
-            return _cmd_reduce(args, out, err, traced=False)
-        if args.command == "trace":
-            return _cmd_reduce(args, out, err, traced=True)
-        if args.command == "eq":
-            return _cmd_eq(args, out, err)
-        if args.command == "godel":
-            return _cmd_godel(args, out, err)
-        if args.command == "polish":
-            return _cmd_polish(args, out, err)
-        if args.command == "lambda":
-            return _cmd_lambda(args, out, err)
-        if args.command == "tm":
-            return _cmd_tm_run(args, out, err)
-        if args.command == "check":
-            return _cmd_check(args, out, err)
-        if args.command == "demo":
-            return _cmd_demo(args, out, err)
-        raise AssertionError(args.command)
+        return args.run(args, out, err)
     except (ParseError, PolishError, CalculusError, LambdaParseError,
             MachineError, PreludeError, OSError, ValueError,
             RecursionError) as exc:

@@ -239,10 +239,18 @@ def _abstract_plain(name: str, m: Term, calc: Calculus) -> Term:
     return App(k_term(calc), m)
 
 
+#: The largest translation `bracket_abstract` builds, in nodes.
+MAX_ABSTRACTION_NODES = 100_000
+
+
 def bracket_abstract(t: LambdaTerm, calc: Calculus) -> Term:
-    """Translate a closed lambda-term to a combinator."""
+    """Translate a closed lambda-term to a combinator.  Every binder
+    multiplies the term, so a body of n nodes is abstracted only if the
+    bound (3 + |I|)(n + 1) / 2 on the result (each App becomes 3 nodes,
+    each leaf at most |I|) is within MAX_ABSTRACTION_NODES."""
     if not lam_closed(t):
         raise ValueError("bracket abstraction is defined on closed terms only")
+    leaf_bound = 3 + i_term(calc).size
 
     def go(u: LambdaTerm, env: list[str]) -> Term:
         if isinstance(u, Index):
@@ -250,7 +258,12 @@ def bracket_abstract(t: LambdaTerm, calc: Calculus) -> Term:
         if isinstance(u, LApp):
             return App(go(u.fun, env), go(u.arg, env))
         name = f"v{len(env)}"
-        return _abstract_plain(name, go(u.body, env + [name]), calc)
+        body = go(u.body, env + [name])
+        if leaf_bound * (body.size + 1) // 2 > MAX_ABSTRACTION_NODES:
+            raise ValueError(
+                f"the translation would pass {MAX_ABSTRACTION_NODES:,} nodes"
+            )
+        return _abstract_plain(name, body, calc)
 
     return go(t, [])
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from math import isqrt
+from math import ceil, isqrt, log2
 from typing import Callable, Generator, Iterable, Sequence, Union
 
 from .reduction import Status, normalize
@@ -212,11 +212,19 @@ def cantor_unpair(z: int) -> tuple[int, int]:
     return w - b, b
 
 
+#: The most decimal digits of a code: `gnum` refuses longer codes, and
+#: `sfcalc godel` prints codes up to this length.
+MAX_CODE_DIGITS = 2_000_000
+_MAX_CODE_BITS = ceil(MAX_CODE_DIGITS * log2(10))  # 2**bits >= 10**digits
+
+
 def gnum(t: Term) -> int:
     """The code of a closed operator term: S maps to 1, the other
     operator (K or F) to 2, and an application of codes a and b to
     cantor_pair(a, b) + 3.  Codes of applications start at 7, so 1 and 2
-    are the only atom codes and 0 codes nothing."""
+    are the only atom codes and 0 codes nothing.  Bit lengths double at
+    every level of nesting, so this raises ValueError, before
+    multiplying, once a code is certain to pass MAX_CODE_DIGITS digits."""
     if not t.closed:
         raise ValueError("only closed terms have a code")
     out: list[int] = []
@@ -226,6 +234,13 @@ def gnum(t: Term) -> int:
         if u is None:
             b = out.pop()
             a = out.pop()
+            # cantor_pair(a, b) > max(a, b)**2 / 2 >= 2**(2 * bits - 3), and
+            # a pending parent (the stack is not empty) squares it again.
+            floor = 2 * max(a, b).bit_length() - 3
+            if (2 * floor - 1 if stack else floor) >= _MAX_CODE_BITS:
+                raise ValueError(
+                    f"the code has more than {MAX_CODE_DIGITS:,} digits"
+                )
             out.append(cantor_pair(a, b) + 3)
         elif isinstance(u, Atom):
             out.append(1 if u.name == "S" else 2)
@@ -263,37 +278,27 @@ def gterm(n: int, calc: Calculus) -> Term | None:
 def enumerate_closed_terms(calc: Calculus, max_size: int) -> list[Term]:
     """Every closed term of the calculus with at most max_size leaves
     and internal nodes combined (sizes are odd), smallest first."""
-    atoms = [Atom(o) for o in sorted(calc.operators)]
-    by_size: dict[int, list[Term]] = {1: atoms}
-    for n in range(3, max_size + 1, 2):
-        out: list[Term] = []
-        for left in range(1, n - 1, 2):
-            for fun in by_size[left]:
-                out.extend(App(fun, arg) for arg in by_size[n - 1 - left])
-        by_size[n] = out
-    result: list[Term] = []
-    for n in range(1, max_size + 1, 2):
-        result.extend(by_size.get(n, ()))
-    return result
+    return _enumerate(calc, max_size, normal=False)
 
 
 def enumerate_normal_forms(calc: Calculus, max_size: int) -> list[Term]:
     """Every closed normal form of the calculus up to max_size, smallest
     first.  A closed normal form is an operator applied to fewer
     arguments than its rule consumes, with every argument normal."""
+    return _enumerate(calc, max_size, normal=True)
+
+
+def _enumerate(calc: Calculus, max_size: int, normal: bool) -> list[Term]:
     atoms = [Atom(o) for o in sorted(calc.operators)]
     by_size: dict[int, list[Term]] = {1: atoms}
     for n in range(3, max_size + 1, 2):
         out: list[Term] = []
         for left in range(1, n - 1, 2):
             for fun in by_size[left]:
-                if fun.head is not None and fun.nargs < ARITY[fun.head] - 1:
+                if not normal or fun.nargs < ARITY[fun.head] - 1:
                     out.extend(App(fun, arg) for arg in by_size[n - 1 - left])
         by_size[n] = out
-    result: list[Term] = []
-    for n in range(1, max_size + 1, 2):
-        result.extend(by_size.get(n, ()))
-    return result
+    return [t for n in range(1, max_size + 1, 2) for t in by_size[n]]
 
 
 def random_closed_term(calc: Calculus, size: int, rng: random.Random) -> Term:
@@ -308,19 +313,14 @@ def random_closed_term(calc: Calculus, size: int, rng: random.Random) -> Term:
     )
 
 
-def build_probe_corpus(
-    calc: Calculus,
-    seed: int = 0,
-    random_sizes: Sequence[int] = (7, 9),
-    count_per_size: int = 50,
-) -> list[Term]:
+def build_probe_corpus(calc: Calculus, seed: int = 0) -> list[Term]:
     """The default corpus for extensional-agreement checks: every closed
-    normal form up to size 5 plus seeded random closed terms, deduplicated
-    in order so runs are reproducible."""
-    probes: list[Term] = list(enumerate_normal_forms(calc, 5))
+    normal form up to size 5 plus 50 seeded random closed terms each of
+    sizes 7 and 9, deduplicated in order so runs are reproducible."""
+    probes: list[Term] = enumerate_normal_forms(calc, 5)
     rng = random.Random(seed)
-    for size in random_sizes:
-        probes.extend(random_closed_term(calc, size, rng) for _ in range(count_per_size))
+    for size in (7, 9):
+        probes.extend(random_closed_term(calc, size, rng) for _ in range(50))
     return list(dict.fromkeys(probes))
 
 

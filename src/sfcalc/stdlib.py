@@ -23,7 +23,9 @@ Construction notes:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .lambda_bridge import bracket_abstract, church_lambda, i_term, k_term
@@ -76,9 +78,11 @@ class NamedCombinator:
     has_normal_form: bool = True  # False for bodies containing an applied fixpoint
 
 
-def build_catalog(calc: Calculus) -> dict[str, NamedCombinator]:
+@functools.cache
+def build_catalog(calc: Calculus) -> Mapping[str, NamedCombinator]:
     """Core combinators for the calculus; SF additionally gets the
-    intensional entries (d, isatom, eqatom, eq, godelize, eqviacode)."""
+    intensional entries (d, isatom, eqatom, eq, godelize, eqviacode).
+    Built once per calculus and shared read-only by every caller."""
     entries: list[NamedCombinator] = []
 
     def define(name: str, body: Term, contract: str, nf: bool = True) -> Term:
@@ -259,7 +263,7 @@ def build_catalog(calc: Calculus) -> dict[str, NamedCombinator]:
             nf=False,
         )
 
-    return {entry.name: entry for entry in entries}
+    return MappingProxyType({entry.name: entry for entry in entries})
 
 
 def catalog_terms(catalog: Mapping[str, NamedCombinator]) -> dict[str, Term]:

@@ -216,16 +216,6 @@ def app(fun: Term, *args: Term) -> Term:
 # --- structural helpers ----------------------------------------------------
 
 
-def spine(t: Term) -> tuple[Term, list[Term]]:
-    """Unwind applications: returns (spine head, [arg1, ..., argN])."""
-    args: list[Term] = []
-    while isinstance(t, App):
-        args.append(t.arg)
-        t = t.fun
-    args.reverse()
-    return t, args
-
-
 def subterm_at(t: Term, path: tuple[int, ...]) -> Term:
     """Subterm at a path of 0 (fun) / 1 (arg) choices from the root."""
     for step in path:

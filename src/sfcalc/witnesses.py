@@ -36,7 +36,7 @@ from .models import (
     normal_model,
     recursive_model,
 )
-from .stdlib import build_catalog, catalog_terms, church
+from .stdlib import build_catalog, church
 from .terms import App, Atom, Calculus, Term
 from .turing import IDENTITY_MACHINE, turing_model
 
@@ -196,20 +196,18 @@ class WeakEquivalenceCase:
         )
 
 
-def build_simulation_cases(
-    rec_budget: int = 1_000_000, term_budget: int = 100_000
-) -> dict[str, SimulationCase]:
+def build_simulation_cases() -> dict[str, SimulationCase]:
     """Church-numeral arithmetic in each calculus simulating recursive
     arithmetic, on all operand tuples with entries up to 5."""
     unary = tuple((i,) for i in range(6))
     binary = tuple((x, y) for x in range(6) for y in range(6))
     cases: dict[str, SimulationCase] = {}
     for calc in (Calculus.SK, Calculus.SF):
-        combinators = catalog_terms(build_catalog(calc))
+        catalog = build_catalog(calc)
         enc = Encoding(
             name=f"church-{calc.value}",
-            source=recursive_model(rec_budget),
-            target=normal_model(calc, term_budget),
+            source=recursive_model(),
+            target=normal_model(calc),
             fn=lambda n, calc=calc: church(n, calc),
         )
         table: Sequence[tuple[str, RecFn, str, tuple[tuple[object, ...], ...]]] = (
@@ -229,17 +227,13 @@ def build_simulation_cases(
                 ),
                 encoding=enc,
                 source_program=source_program,
-                target_program=combinators[combinator],
+                target_program=catalog[combinator].body,
                 inputs=inputs,
             )
     return cases
 
 
-def build_weak_equivalence_cases(
-    rec_budget: int = 1_000_000,
-    term_budget: int = 10_000_000,
-    tm_budget: int = 1_000_000,
-) -> dict[str, WeakEquivalenceCase]:
+def build_weak_equivalence_cases() -> dict[str, WeakEquivalenceCase]:
     """Round-trip recodings computed inside a model.
 
     * godelize-sf: the in-calculus structural-code program sends each
@@ -252,7 +246,6 @@ def build_weak_equivalence_cases(
       identity recursive function.
     """
     sf = Calculus.SF
-    combinators = catalog_terms(build_catalog(sf))
     cases = {}
     cases["godelize-sf"] = WeakEquivalenceCase(
         name="godelize-sf",
@@ -260,11 +253,11 @@ def build_weak_equivalence_cases(
             "the structural-code program inside SF maps every normal form "
             "of size up to 3 to the Church numeral of its code"
         ),
-        m1=recursive_model(rec_budget),
-        m2=normal_model(sf, term_budget),
+        m1=recursive_model(),
+        m2=normal_model(sf, 10_000_000),
         rho1=gnum,
         rho2=lambda n: church(n, sf),
-        recoding2=combinators["godelize"],
+        recoding2=build_catalog(sf)["godelize"].body,
         inputs=tuple(enumerate_normal_forms(sf, 3)),
     )
     cases["church-code-rec"] = WeakEquivalenceCase(
@@ -274,7 +267,7 @@ def build_weak_equivalence_cases(
             "(values from 10**61 up make every budget exhaust; kept honest)"
         ),
         m1=normal_model(sf, 100_000),
-        m2=recursive_model(rec_budget),
+        m2=recursive_model(),
         rho1=lambda n: church(n, sf),
         rho2=gnum,
         recoding2=church_code_recfn(),
@@ -286,8 +279,8 @@ def build_weak_equivalence_cases(
             "words round-trip through their bijective base-4 values; the "
             "identity machine computes the recoding on the tape"
         ),
-        m1=recursive_model(rec_budget),
-        m2=turing_model(tm_budget),
+        m1=recursive_model(),
+        m2=turing_model(),
         rho1=word_to_number,
         rho2=number_to_word,
         recoding2=IDENTITY_MACHINE,
@@ -299,8 +292,8 @@ def build_weak_equivalence_cases(
             "numbers round-trip through bijective base-4 words; the "
             "identity recursive function computes the recoding"
         ),
-        m1=turing_model(tm_budget),
-        m2=recursive_model(rec_budget),
+        m1=turing_model(),
+        m2=recursive_model(),
         rho1=number_to_word,
         rho2=word_to_number,
         recoding2=Proj(1, 1),

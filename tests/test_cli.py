@@ -7,7 +7,9 @@ spawning subprocesses.
 
 from __future__ import annotations
 
+import argparse
 import io
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -150,6 +152,14 @@ class TestGodel:
         code, out, err = run("godel", "--decode", coded.strip())
         assert (code, out) == (EXIT_OK, source + "\n")
 
+    def test_code_past_the_digit_limit_is_refused_quickly(self):
+        # eq nests 27 levels deep, and a code's bit length doubles per level.
+        start = time.perf_counter()
+        code, out, err = run("godel", "eq")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == "error: the code has more than 2,000,000 digits\n"
+
 
 class TestPolish:
     def test_encode_pin(self):
@@ -198,6 +208,14 @@ class TestLambda:
         code, out, err = run("lambda", "\\" * 3000 + "0")
         assert (code, out) == (EXIT_ERROR, "")
         assert err.startswith("error:")
+
+    def test_translation_past_the_node_cap_is_refused_quickly(self):
+        # Unchecked, the SF translation would have about 39 million nodes.
+        start = time.perf_counter()
+        code, out, err = run("lambda", "λλλλλλλλλλλλ0")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == "error: the translation would pass 100,000 nodes\n"
 
 
 class TestTuringRun:
@@ -322,6 +340,27 @@ class TestDemo:
         code, out, err = run("demo", "turing-equality")
         assert code == EXIT_OK
         assert "within its declared" in out
+
+
+class TestSharedTables:
+    def test_main_builds_no_parser_after_the_first_call(self, monkeypatch):
+        run("reduce", "S")  # the one build of the process, if not done yet
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for argv in (
+            ("reduce", "plus c1 c2"),
+            ("trace", "--calc", "sk", "plus c1 c1"),
+            ("check", "sim", "plus-sf"),
+            ("demo", "turing-equality"),
+        ):
+            assert run(*argv)[0] == EXIT_OK, argv
+        assert built == []
 
 
 class TestUsage:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sfcalc.lambda_bridge import (
+    MAX_ABSTRACTION_NODES,
     Index,
     LApp,
     Lam,
@@ -155,6 +156,14 @@ class TestBracketAbstraction:
     def test_open_lambda_terms_are_rejected(self):
         with pytest.raises(ValueError):
             bracket_abstract(Index(0), SK)
+
+    def test_binder_towers_stop_at_the_node_cap(self):
+        # The SK image of λ^n 0 has 5 * 3^(n-1) nodes.
+        assert MAX_ABSTRACTION_NODES == 100_000
+        assert bracket_abstract(parse_lambda("λ" * 9 + "0"), SK).size == 5 * 3**8
+        for calc in (SK, SF):
+            with pytest.raises(ValueError, match="would pass 100,000 nodes"):
+                bracket_abstract(parse_lambda("λ" * 12 + "0"), calc)
 
 
 class TestCorpus:

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from sfcalc.models import (
+    MAX_CODE_DIGITS,
     SUCC,
     ZERO,
     ArityError,
@@ -162,6 +164,17 @@ class TestNumbering:
             for t in enumerate_closed_terms(calc, 7):
                 assert gterm(gnum(t), calc) == t
 
+    def test_gnum_refuses_codes_past_the_digit_limit(self):
+        # 23 S's code to about 1.4 million digits, 24 S's to 2.8 million.
+        assert MAX_CODE_DIGITS == 2_000_000
+        with pytest.raises(ValueError, match="more than 2,000,000 digits"):
+            gnum(app(*[S] * 24))
+        deep = S
+        for _ in range(30):  # bit length doubles per level
+            deep = App(deep, deep)
+        with pytest.raises(ValueError, match="more than 2,000,000 digits"):
+            gnum(deep)
+
     def test_gterm_rejects_non_codes(self):
         assert gterm(0, SF) is None
         assert gterm(3, SF) is None  # would need components coded 0
@@ -202,6 +215,23 @@ class TestCorpora:
 
     def test_probe_corpus_seeds_differ(self):
         assert build_probe_corpus(SF, seed=0) != build_probe_corpus(SF, seed=1)
+
+    @pytest.mark.parametrize(
+        "calc, seed, size, digest",
+        [
+            (SK, 0, 99, "e87b405fa5daa56b"),
+            (SK, 1, 104, "df2233cc84223aab"),
+            (SF, 0, 103, "2c4544984d3e84f5"),
+            (SF, 1, 108, "3607ff3deca7a187"),
+        ],
+    )
+    def test_probe_corpus_pins(self, calc, seed, size, digest):
+        # The extensional checks and the benchmark's probes rest on this
+        # exact corpus: 50 random terms each of sizes 7 and 9 per seed.
+        corpus = build_probe_corpus(calc, seed=seed)
+        text = " ".join(render(t) for t in corpus)
+        assert len(corpus) == size
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 class TestModels:

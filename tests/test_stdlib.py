@@ -51,6 +51,13 @@ class TestCatalogShape:
     def test_k_is_ff_in_sf(self, sf_terms):
         assert sf_terms["k"] == App(F, F)
 
+    @pytest.mark.parametrize("calc", [SK, SF])
+    def test_catalog_is_built_once_and_read_only(self, calc):
+        catalog = build_catalog(calc)
+        assert build_catalog(calc) is catalog
+        with pytest.raises(TypeError):
+            catalog["k"] = catalog["i"]  # type: ignore[index]
+
     def test_fixpoint_entries_deliberately_lack_normal_forms(self, sf_catalog):
         for name in ("fix", "eq", "godelize", "eqviacode"):
             assert not sf_catalog[name].has_normal_form

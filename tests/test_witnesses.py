@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sfcalc.models import cantor_pair, eval_rec, gnum, rec_arity
-from sfcalc.stdlib import church
+from sfcalc.stdlib import build_catalog, church
 from sfcalc.terms import App, Calculus, F, S
 from sfcalc.witnesses import (
     build_simulation_cases,
@@ -145,6 +145,14 @@ class TestPackagedCases:
     def test_sample_simulation_cases_pass(self, name):
         report = build_simulation_cases()[name].run()
         assert report.ok, report.render()
+
+    def test_cases_run_the_shared_catalog_entries(self):
+        sims = build_simulation_cases()
+        for calc in (Calculus.SK, Calculus.SF):
+            plus = build_catalog(calc)["plus"].body
+            assert sims[f"plus-{calc.value}"].target_program is plus
+        godelize = build_catalog(Calculus.SF)["godelize"].body
+        assert build_weak_equivalence_cases()["godelize-sf"].recoding2 is godelize
 
     def test_weak_equivalence_inventory(self):
         cases = build_weak_equivalence_cases()
