@@ -2,7 +2,8 @@
 
 Subcommands:
 
-* reduce / trace: normalize a term (trace prints every step).
+* reduce / trace: normalize a term (trace prints every step); a result
+  of more than `MAX_PRINT_NODES` nodes is printed as its size and hash.
 * eq: run the in-calculus structural equality program on two closed
   SF normal forms (optionally the code-comparing variant).
 * godel: code of a closed term, or the term for a code (--decode);
@@ -76,6 +77,10 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+
+#: The largest result `reduce` and `trace` print in full, in nodes; a
+#: larger one is printed as its size and structural hash.
+MAX_PRINT_NODES = 100_000
 
 
 class PreludeError(ValueError):
@@ -156,7 +161,11 @@ def _cmd_reduce(args, out, err, traced: bool = False) -> int:
         trace = render_trace(outcome.steps)
         if trace:
             print(trace, file=out)
-    print(render(outcome.term), file=out)
+    t = outcome.term
+    if t.size > MAX_PRINT_NODES:
+        print(f"<term of {t.size} nodes, hash {t.h:x}>", file=out)
+    else:
+        print(render(t), file=out)
     if outcome.status is Status.BUDGET:
         print(f"budget exhausted after {outcome.steps_taken} steps", file=err)
         return EXIT_BUDGET

@@ -16,13 +16,15 @@ whose first argument is variable-headed can never fire; a term is
 an open term.
 
 One engine implements normal order: a stack machine that normalizes
-without re-scanning from the root.  Its frames know where the working
-term sits, so when tracing it also records each Step (path, rule, and
-the whole term before and after).  Applicative order is a walk over a
-zipper of pending ancestors that, after each step, resumes at the
-contractum instead of rescanning from the root (refocusing).  The test
-suite keeps plain root-rescanning steppers for both strategies as
-reference oracles and checks both engines against them step by step.
+without re-scanning from the root.  Its one kind of frame is a spine
+with the working term at one argument position, so when tracing it also
+records each Step (path, rule, and the whole term before and after).  An
+F waiting for its first argument to stabilize is such a frame too,
+flagged as deferred.  Applicative order is a walk over a zipper of
+pending ancestors that, after each step, resumes at the contractum
+instead of rescanning from the root (refocusing).  The test suite keeps
+plain root-rescanning steppers for both strategies as reference oracles
+and checks both engines against them step by step.
 
 Untraced normal order is call by need within one call: the S-rule
 copies its third argument before it is normal, and the machine reduces
@@ -197,18 +199,11 @@ def _applicative_normalize(
 
 def _rebuild(stack: list, w: Term) -> Term:
     """Fold the machine stack around the working term (for budget stops)."""
-    for frame in reversed(stack):
-        if frame[0] == "f":
-            _, a2, a3, extras = frame
-            w = App(App(App(F, w), a2), a3)
-            for e in extras:
-                w = App(w, e)
-        else:
-            _, headleaf, args, i, _ = frame
-            u = headleaf
-            for j, a in enumerate(args):
-                u = App(u, w if j == i else a)
-            w = u
+    for head, args, i, _, _ in reversed(stack):
+        u = head
+        for j, a in enumerate(args):
+            u = App(u, w if j == i else a)
+        w = u
     return w
 
 
@@ -216,10 +211,7 @@ def _path(stack: list, extras: list) -> tuple[int, ...]:
     """Path from the root to the redex under the working term's extras."""
     path: list[int] = []
     for frame in stack:
-        if frame[0] == "f":
-            path += [0] * (len(frame[3]) + 2)  # F w a2 a3 extras: w is arg 1
-        else:
-            path += [0] * (len(frame[2]) - 1 - frame[3])
+        path += [0] * (len(frame[1]) - 1 - frame[2])
         path.append(1)
     path += [0] * len(extras)
     return tuple(path)
@@ -232,142 +224,121 @@ def _machine_normalize(
 
     Returns (term, steps, finished, trail); the trail of Steps is empty
     unless tracing.  The machine alternates between stabilizing the head
-    of the working term (firing spine redexes, deferring a fully applied
-    F by pushing an "f" frame and descending into its first argument)
-    and normalizing the arguments of stabilized spines left to right
-    ("a" frames).
+    of the working term (firing spine redexes) and normalizing the
+    arguments of stabilized spines left to right.  Its one frame kind,
+    [head, args, i, entered, deferred], is a spine whose argument i is
+    the working term; entered is the step count when work on it began.
 
-    Untraced runs share work within the call (call by need): when an "a"
-    frame receives the normal form of its argument, it records the
-    argument object, that normal form and the steps they took.  When an
-    "a" frame meets the same object again, it charges the recorded steps
+    A fully applied F whose first argument is not factorable is deferred:
+    its spine is pushed as a frame at i = 0 with the deferred flag set,
+    and the machine stabilizes that argument first.  Once it is
+    head-stable and factorable, the frame is folded back and F fires.
+    Otherwise the F is blocked for good, the argument's own spine is
+    normalized, and the frame receives its normal form and goes on with
+    its other arguments like any other frame, with the flag cleared.
+
+    Untraced runs share work within the call (call by need): when a frame
+    receives the normal form of its argument, it records the argument
+    object, that normal form and the steps they took.  When a frame moves
+    to an argument object it has recorded, it charges the recorded steps
     and takes the normal form instead of reducing the copy.  The count
-    stays the tree count because an "a" frame normalizes its argument on
-    its own: the steps an argument takes do not depend on where it sits.
-    A reuse that would cross the budget is not made, so the copy is
-    reduced and the budget stop falls on the same step and term.  What an
-    "f" frame receives is only head-stable, so it is never recorded.  The
-    memo lives for one call; kept longer, repeated calls would report
-    different counts.
+    stays the tree count because a frame normalizes its argument on its
+    own: the steps an argument takes do not depend on where it sits.  A
+    reuse that would cross the budget is not made, so the copy is reduced
+    and the budget stop falls on the same step and term.  A deferred
+    frame's argument is only head-stable when F fires, so it is recorded
+    only once the F is blocked and it is fully normal.  The memo lives for
+    one call; kept longer, repeated calls would report different counts.
     """
     steps = 0
     trail: list[Step] = []
     # id(argument) -> (argument, its normal form, steps taken); holding
     # the argument keeps its id from being reused within the call.
     memo: Optional[dict[int, tuple[Term, Term, int]]] = None if trace else {}
-    # "f" frames: ["f", a2, a3, extras]; "a" frames: ["a", head, args, i,
-    # steps when the normalization of args[i] began].
     stack: list = []
     w = t
-    up = False  # True: w is fully normal, deliver to the top frame
     while True:
-        if not up:
-            # Stabilize w's spine.
-            defer = False
-            while True:
-                op = w.head
-                if op is None or w.nargs < ARITY[op]:
-                    break  # leaf, compound, or variable-headed: stable
-                extras: list[Term] = []
-                r = w
-                for _ in range(w.nargs - ARITY[op]):
-                    extras.append(r.arg)
-                    r = r.fun
-                extras.reverse()
-                if op == "F":
-                    a1 = r.fun.fun.arg
-                    h1 = a1.head
-                    if h1 is None:
-                        break  # blocked: variable-headed first argument
-                    if a1.nargs >= ARITY[h1]:
-                        # Defer F; stabilize its first argument first.
-                        stack.append(["f", r.fun.arg, r.arg, extras])
-                        w = a1
-                        defer = True
-                        break
-                hit = _fire(r)
-                if hit is None:  # blocked F spine (stable, unfireable)
-                    break
-                if steps >= budget:
-                    return _rebuild(stack, w), steps, False, tuple(trail)
-                steps += 1
-                w = hit[1]
-                for e in extras:
-                    w = App(w, e)
-                if trace:
-                    before = trail[-1].after if trail else t
-                    after = _rebuild(stack, w)
-                    trail.append(Step(_path(stack, extras), hit[0], before, after))
-            if defer:
+        # Stabilize w's spine.
+        while True:
+            op = w.head
+            if op is None or w.nargs < ARITY[op]:
+                break  # leaf, compound, or variable-headed: stable
+            extras: list[Term] = []
+            r = w
+            for _ in range(w.nargs - ARITY[op]):
+                extras.append(r.arg)
+                r = r.fun
+            extras.reverse()
+            if op == "F":
+                a1 = r.fun.fun.arg
+                h1 = a1.head
+                if h1 is None:
+                    break  # blocked: variable-headed first argument
+                if a1.nargs >= ARITY[h1]:
+                    # Defer F; stabilize its first argument first.
+                    stack.append([F, [a1, r.fun.arg, r.arg, *extras], 0, steps, True])
+                    w = a1
+                    continue
+            if steps >= budget:
+                return _rebuild(stack, w), steps, False, tuple(trail)
+            steps += 1
+            rule, w = _fire(r)  # fires: every unfireable F was left above
+            for e in extras:
+                w = App(w, e)
+            if trace:
+                before = trail[-1].after if trail else t
+                after = _rebuild(stack, w)
+                trail.append(Step(_path(stack, extras), rule, before, after))
+        # w is head-stable: factorable, variable-headed, or blocked-F.
+        if stack and stack[-1][4]:
+            h = w.head
+            if h is not None and w.nargs < ARITY[h]:
+                # The deferred F's first argument is factorable: fire F.
+                args = stack.pop()[1]
+                args[0] = w
+                w = F
+                for a in args:
+                    w = App(w, a)
                 continue
-            # w is head-stable: factorable, variable-headed, or blocked-F.
-            if stack and stack[-1][0] == "f":
-                up = True  # deliver the stabilized first argument
-                continue
-            if not isinstance(w, App):
-                up = True  # a leaf is already normal
-                continue
-            # Enter the argument-normalization phase for w's spine.
-            args: list[Term] = []
+        if isinstance(w, App):
+            # Enter w's argument phase; the loop below moves to args[0].
+            args = []
             node = w
             while isinstance(node, App):
                 args.append(node.arg)
                 node = node.fun
             args.reverse()
-            stack.append(["a", node, args, 0, steps])
-            w = args[0]
+            stack.append([node, args, -1, steps, False])
+        # Hand normal forms up and move to the next argument to normalize.
+        while True:
+            if not stack:
+                return w, steps, True, tuple(trail)
+            frame = stack[-1]
+            args = frame[1]
+            i = frame[2]
+            if i >= 0:  # w is the normal form of args[i]
+                if memo is not None:
+                    src = args[i]
+                    memo[id(src)] = (src, w, steps - frame[3])
+                args[i] = w
+                frame[4] = False  # a deferred F's argument: blocked for good
+            i += 1
+            if i == len(args):
+                stack.pop()
+                w = frame[0]
+                for a in args:
+                    w = App(w, a)
+                continue  # fully normal: stable spine with normal arguments
+            frame[2] = i
+            frame[3] = steps
+            w = args[i]
             if memo is not None:
                 known = memo.get(id(w))
                 if known is not None and steps + known[2] <= budget:
                     steps += known[2]
                     w = known[1]
-                    up = True
-            continue
-        # up: w is fully normal (or, under an "f" frame, head-stable).
-        if not stack:
-            return w, steps, True, tuple(trail)
-        frame = stack[-1]
-        if frame[0] == "a":
-            _, headleaf, args, i, entered = frame
-            if memo is not None:
-                src = args[i]
-                memo[id(src)] = (src, w, steps - entered)
-            args[i] = w
-            if i + 1 < len(args):
-                frame[3] = i + 1
-                frame[4] = steps
-                w = args[i + 1]
-                up = False
-                if memo is not None:
-                    known = memo.get(id(w))
-                    if known is not None and steps + known[2] <= budget:
-                        steps += known[2]
-                        w = known[1]
-                        up = True
-            else:
-                stack.pop()
-                u = headleaf
-                for a in args:
-                    u = App(u, a)
-                w = u  # fully normal: stable spine with normal arguments
-        else:
-            # "f" frame: w is the stabilized (or normalized) first argument.
-            stack.pop()
-            _, a2, a3, extras = frame
-            r = App(App(App(F, w), a2), a3)
-            for e in extras:
-                r = App(r, e)
-            h1 = w.head
-            if h1 is not None and w.nargs < ARITY[h1]:
-                w = r  # factorable: re-enter stabilization, F will fire
-                up = False
-            else:
-                # Variable-headed or blocked: the F spine is stable as a
-                # whole; go straight to its argument phase (re-entering
-                # stabilization would defer the same F forever).
-                args = [w, a2, a3] + extras
-                stack.append(["a", F, args, 0, steps])
-                up = False
+                    continue
+            break
 
 
 # --- normalization -----------------------------------------------------------

@@ -60,10 +60,23 @@ def lam(names: Sequence[str] | str, body: Term, calc: Calculus) -> Term:
     return out
 
 
+@functools.cache
+def _numeral_scaffold(calc: Calculus) -> tuple[Term, Term]:
+    """Numeral 0 and succ, the scaffold of numeral 1 around numeral 0."""
+    zero = bracket_abstract(church_lambda(0), calc)
+    return zero, bracket_abstract(church_lambda(1), calc).fun
+
+
 def church(n: int, calc: Calculus) -> Term:
     """The canonical Church numeral: the plain bracket-abstraction image
-    of the lambda-term iterating f over x n times."""
-    return bracket_abstract(church_lambda(n), calc)
+    of the lambda-term iterating f over x n times, which is succ applied
+    n times to numeral 0."""
+    if n < 0:
+        raise ValueError("Church numerals encode naturals only")
+    numeral, succ = _numeral_scaffold(calc)
+    for _ in range(n):
+        numeral = App(succ, numeral)
+    return numeral
 
 
 # --- the catalog ---------------------------------------------------------------

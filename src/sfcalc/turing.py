@@ -42,7 +42,6 @@ class MachineError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class MachineSpec:
-    states: frozenset[str]
     alphabet: frozenset[str]
     blank: str
     transitions: Mapping[tuple[str, str], tuple[str, str, int]]
@@ -95,13 +94,10 @@ def parse_machine(text: str) -> MachineSpec:
     for state, _symbol in transitions:
         if state in (accept, reject):
             raise MachineError(f"halting state {state} must have no outgoing transitions")
-    states = {start, accept, reject}
     alphabet = {blank} | extra_symbols
-    for (state, symbol), (new_state, new_symbol, _move) in transitions.items():
-        states.update((state, new_state))
+    for (_state, symbol), (_new_state, new_symbol, _move) in transitions.items():
         alphabet.update((symbol, new_symbol))
     return MachineSpec(
-        states=frozenset(states),
         alphabet=frozenset(alphabet),
         blank=blank,
         transitions=transitions,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import re
 import time
 
 import pytest
@@ -51,6 +52,16 @@ class TestReduceAndTrace:
         assert code == EXIT_BUDGET
         assert "budget exhausted after 50 steps" in err
         assert out.strip()  # the partial term is still printed
+
+    def test_huge_budget_stop_prints_one_short_line(self):
+        # The budget stop is a term of about 3 * 10**9 nodes.
+        start = time.perf_counter()
+        argv = ("reduce", "--calc", "sk", "--budget", "500", "S(SKK)(SKK)(S(SSS)S)")
+        code, out, err = run(*argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_BUDGET
+        assert re.fullmatch(r"<term of \d{10} nodes, hash [0-9a-f]+>\n", out), out[:200]
+        assert err == "budget exhausted after 500 steps\n"
 
     def test_reduce_stuck_note_on_stderr(self):
         # F applied to a variable cannot be classified, so reduction stops.

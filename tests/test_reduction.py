@@ -184,10 +184,20 @@ class TestMachineAgainstOracle:
             self.check(parse(text, SK), SK)
         for text in ("F(SSSS)MN", "F x M N", "S(FF)(FF)(F(SS)x)", "F(F(Fy)ab)MN"):
             self.check(parse(text, SF), SF)
+        # A deferred F whose first argument stabilizes unfactorable: a
+        # blocked F spine, or (the third) a variable.
+        for text in (
+            "F(F x M N) a b",
+            "F(F(F x M N) a b) c d",
+            "F(S(FF)(FF)x) M N",
+            "S(FF)(FF)(F(F(F x M N)(S S S S) b) c (SSSS))",
+        ):
+            self.check(parse(text, SF), SF)
 
     def test_budget_stops(self):
-        # Divergent terms, stopped at the root, inside argument frames and
-        # inside a deferred F's first argument.
+        # Divergent terms, stopped at the root, inside argument frames,
+        # inside a deferred F's first argument and inside the arguments of
+        # a blocked F spine.
         w_sk, w_sf = "S(SKK)(SKK)", "S(S(FF)(FF))(S(FF)(FF))"  # λx. x x
         for text, calc in (
             (f"{w_sk}({w_sk})", SK),
@@ -197,6 +207,7 @@ class TestMachineAgainstOracle:
             (f"{w_sf}({w_sf})", SF),
             (f"F ({w_sf}({w_sf})) M N", SF),
             (f"S S (F ({w_sf}({w_sf})) M N) x y", SF),
+            (f"F (F x M ({w_sf}({w_sf}))) a b", SF),
         ):
             t = parse(text, calc)
             assert normalize(t, calc, self.strategy, budget=300).status is Status.BUDGET, text

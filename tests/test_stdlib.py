@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from sfcalc.lambda_bridge import bracket_abstract, church_lambda
 from sfcalc.models import enumerate_normal_forms, gnum
 from sfcalc.reduction import Status, normalize
 from sfcalc.stdlib import NamedCombinator, abstract, build_catalog, church, lam
@@ -111,6 +112,19 @@ class TestArithmetic:
             c2 = church(2, calc)
             got = run(app(c2, Var("f"), Var("x")), calc)
             assert got == parse("f(f x)", calc)
+
+    @pytest.mark.parametrize("calc", [SK, SF], ids=["sk", "sf"])
+    def test_church_is_the_plain_translation_iterated(self, calc):
+        for n in range(12):
+            assert church(n, calc) == bracket_abstract(church_lambda(n), calc), n
+        # A thousand succs: the translation of the 1000-fold lambda term
+        # recurses deeper than the interpreter allows, the iteration not.
+        succ = church(1, calc).fun
+        big = church(1000, calc)
+        assert big.fun == succ and big.arg == church(999, calc)
+        assert big.size == church(0, calc).size + 1000 * (succ.size + 1)
+        with pytest.raises(ValueError):
+            church(-1, calc)
 
     def test_catalog_numerals_chain_by_succ(self, sk_terms, sf_terms):
         for terms, calc in ((sk_terms, SK), (sf_terms, SF)):
