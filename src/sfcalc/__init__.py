@@ -61,7 +61,6 @@ from .reduction import (
     extensionally_agree,
     normalize,
     render_trace,
-    step_once,
 )
 from .stdlib import NamedCombinator, build_catalog, catalog_terms, church
 from .syntax import (

@@ -2,8 +2,9 @@
 
 Subcommands:
 
-* reduce / trace: normalize a term (trace prints every step); a result
-  of more than `MAX_PRINT_NODES` nodes is printed as its size and hash.
+* reduce / trace: normalize a term (trace prints every step); a result,
+  redex or contractum of more than `syntax.MAX_PRINT_NODES` nodes is
+  printed as its size and hash.
 * eq: run the in-calculus structural equality program on two closed
   SF normal forms (optionally the code-comparing variant).
 * godel: code of a closed term, or the term for a code (--decode);
@@ -56,7 +57,15 @@ from .reduction import (
     render_trace,
 )
 from .stdlib import build_catalog, catalog_terms
-from .syntax import ParseError, PolishError, from_polish, parse, render, to_polish
+from .syntax import (
+    ParseError,
+    PolishError,
+    from_polish,
+    parse,
+    render,
+    render_capped,
+    to_polish,
+)
 from .terms import Calculus, CalculusError, S, Term, app, free_vars, substitute
 from .turing import (
     EQUALITY_MACHINE,
@@ -77,10 +86,6 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-
-#: The largest result `reduce` and `trace` print in full, in nodes; a
-#: larger one is printed as its size and structural hash.
-MAX_PRINT_NODES = 100_000
 
 
 class PreludeError(ValueError):
@@ -161,11 +166,7 @@ def _cmd_reduce(args, out, err, traced: bool = False) -> int:
         trace = render_trace(outcome.steps)
         if trace:
             print(trace, file=out)
-    t = outcome.term
-    if t.size > MAX_PRINT_NODES:
-        print(f"<term of {t.size} nodes, hash {t.h:x}>", file=out)
-    else:
-        print(render(t), file=out)
+    print(render_capped(outcome.term), file=out)
     if outcome.status is Status.BUDGET:
         print(f"budget exhausted after {outcome.steps_taken} steps", file=err)
         return EXIT_BUDGET
@@ -325,10 +326,14 @@ def _demo_identity_pair(args, out) -> int:
     )
     separated = verdict.term == sf["false"]
     word = "distinguishes" if separated else "does not distinguish"
+    if verdict.status is Status.BUDGET:
+        word = f"budget exhausted after {verdict.steps_taken} steps on"
     print(
         f"SF eq: {word} the images {render(sf_left)} and {render(sf_right)}",
         file=out,
     )
+    if verdict.status is Status.BUDGET:
+        return EXIT_BUDGET
     return EXIT_OK if agree and separated else EXIT_ERROR
 
 
@@ -346,8 +351,12 @@ def _demo_sf_equality(args, out) -> int:
     for label, a, b in (("eq left right", left, right), ("eq left left", left, left)):
         outcome = normalize(app(bindings["eq"], a, b), calc, budget=args.budget)
         word = "true" if outcome.term == bindings["true"] else "false"
+        if outcome.status is Status.BUDGET:
+            word = "(budget)"
         results[label] = word
         print(f"{label} = {word}   ({outcome.steps_taken} steps)", file=out)
+    if "(budget)" in results.values():
+        return EXIT_BUDGET
     print(
         "the equality program separates terms that behave identically "
         "under application, which no program of the sk calculus can do",

@@ -55,14 +55,6 @@ class LApp:
 LambdaTerm = Union[Index, Lam, LApp]
 
 
-def lam_size(t: LambdaTerm) -> int:
-    if isinstance(t, Index):
-        return 1
-    if isinstance(t, Lam):
-        return 1 + lam_size(t.body)
-    return 1 + lam_size(t.fun) + lam_size(t.arg)
-
-
 def lam_closed(t: LambdaTerm, depth: int = 0) -> bool:
     """Closed iff every Index n sits under more than n enclosing Lams."""
     if isinstance(t, Index):

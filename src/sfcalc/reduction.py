@@ -17,14 +17,15 @@ an open term.
 
 One engine implements normal order: a stack machine that normalizes
 without re-scanning from the root.  Its one kind of frame is a spine
-with the working term at one argument position, so when tracing it also
-records each Step (path, rule, and the whole term before and after).  An
-F waiting for its first argument to stabilize is such a frame too,
-flagged as deferred.  Applicative order is a walk over a zipper of
-pending ancestors that, after each step, resumes at the contractum
-instead of rescanning from the root (refocusing).  The test suite keeps
-plain root-rescanning steppers for both strategies as reference oracles
-and checks both engines against them step by step.
+with the working term at one argument position.  An F waiting for its
+first argument to stabilize is such a frame too, flagged as deferred.
+Applicative order is a walk over a zipper of pending ancestors that,
+after each step, resumes at the contractum instead of rescanning from
+the root (refocusing).  When tracing, both engines record each Step
+(path, rule, redex, contractum) as it fires, without building the whole
+term.  The test suite keeps plain root-rescanning steppers for both
+strategies as reference oracles and checks both engines against them
+step by step.
 
 Untraced normal order is call by need within one call: the S-rule
 copies its third argument before it is normal, and the machine reduces
@@ -40,7 +41,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .syntax import render
+from .syntax import render_capped
 from .terms import (
     ARITY,
     App,
@@ -48,7 +49,6 @@ from .terms import (
     F,
     Term,
     check_calculus,
-    subterm_at,
 )
 
 RULE_S = "S-rule"
@@ -74,12 +74,13 @@ class Status(enum.Enum):
 
 @dataclass(frozen=True)
 class Step:
-    """One rewrite: the whole term before and after, and where it fired."""
+    """One rewrite: where it fired, by which rule, the redex it fired on
+    and the contractum that replaced it there."""
 
     path: tuple[int, ...]  # 0 = into fun, 1 = into arg
     rule: str
-    before: Term
-    after: Term
+    redex: Term
+    contractum: Term
 
 
 @dataclass(frozen=True)
@@ -149,7 +150,7 @@ def _applicative_normalize(
     The stack is a zipper of pending ancestors: (1, node, ready) while in
     node.arg, with node.fun next (its children normal when ready), and
     (0, node, arg) while in node.fun, arg being node.arg's normal form.
-    The whole term is rebuilt only for a traced step or a budget stop.
+    The whole term is rebuilt only for a budget stop.
     """
     steps = 0
     trail: list[Step] = []
@@ -167,11 +168,10 @@ def _applicative_normalize(
                 if steps >= budget:
                     return _plug(stack, w), steps, False, tuple(trail)
                 steps += 1
-                rule, w = hit
                 if trace:
-                    before = trail[-1].after if trail else t
                     path = tuple(frame[0] for frame in stack)
-                    trail.append(Step(path, rule, before, _plug(stack, w)))
+                    trail.append(Step(path, hit[0], w, hit[1]))
+                rule, w = hit
                 if rule == RULE_S:  # x z (y z): check y z, x z, the whole
                     stack.append((1, w, True))
                     w = w.arg
@@ -283,12 +283,10 @@ def _machine_normalize(
                 return _rebuild(stack, w), steps, False, tuple(trail)
             steps += 1
             rule, w = _fire(r)  # fires: every unfireable F was left above
+            if trace:
+                trail.append(Step(_path(stack, extras), rule, r, w))
             for e in extras:
                 w = App(w, e)
-            if trace:
-                before = trail[-1].after if trail else t
-                after = _rebuild(stack, w)
-                trail.append(Step(_path(stack, extras), rule, before, after))
         # w is head-stable: factorable, variable-headed, or blocked-F.
         if stack and stack[-1][4]:
             h = w.head
@@ -387,24 +385,17 @@ def normalize(
     return ReduceOutcome(Status.BUDGET, term, n, steps)
 
 
-def step_once(
-    t: Term, calc: Calculus, strategy: Strategy = Strategy.NORMAL
-) -> Optional[Step]:
-    """The unique strategy-selected step, or None if no step exists."""
-    steps = normalize(t, calc, strategy, budget=1, trace=True).steps
-    return steps[0] if steps else None
-
-
 def render_trace(steps: Iterable[Step]) -> str:
-    """One line per step: "<n> <rule> @ <path> : <before> => <after>",
-    where before/after are the subterms at the rewrite position and the
-    path is spelled with L (fun) and R (arg), or ε for the root."""
+    """One line per step: "<n> <rule> @ <path> : <redex> => <contractum>",
+    the path spelled with L (fun) and R (arg), or ε for the root.  A
+    redex or contractum past `syntax.MAX_PRINT_NODES` nodes is shown as
+    its size and hash (`render_capped`)."""
     lines = []
     for i, s in enumerate(steps, start=1):
         at = "".join("R" if d else "L" for d in s.path) or "ε"
-        before = render(subterm_at(s.before, s.path))
-        after = render(subterm_at(s.after, s.path))
-        lines.append(f"{i} {s.rule} @ {at} : {before} => {after}")
+        redex = render_capped(s.redex)
+        contractum = render_capped(s.contractum)
+        lines.append(f"{i} {s.rule} @ {at} : {redex} => {contractum}")
     return "\n".join(lines)
 
 

@@ -125,6 +125,18 @@ def render(t: Term) -> str:
     return "".join(out)
 
 
+#: The largest term `render_capped` prints in full, in nodes.
+MAX_PRINT_NODES = 100_000
+
+
+def render_capped(t: Term) -> str:
+    """render(t), or `<term of N nodes, hash H>` (H in hex) for a term of
+    more than MAX_PRINT_NODES nodes, whose text could be gigabytes."""
+    if t.size > MAX_PRINT_NODES:
+        return f"<term of {t.size} nodes, hash {t.h:x}>"
+    return render(t)
+
+
 # --- Polish-notation codec ---------------------------------------------------
 
 

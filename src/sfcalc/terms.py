@@ -216,15 +216,6 @@ def app(fun: Term, *args: Term) -> Term:
 # --- structural helpers ----------------------------------------------------
 
 
-def subterm_at(t: Term, path: tuple[int, ...]) -> Term:
-    """Subterm at a path of 0 (fun) / 1 (arg) choices from the root."""
-    for step in path:
-        if not isinstance(t, App):
-            raise IndexError(f"path {path} leaves the term")
-        t = t.arg if step else t.fun
-    return t
-
-
 def free_vars(t: Term) -> frozenset[str]:
     """Names of the variables occurring in t (there are no binders)."""
     if t.closed:

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 from sfcalc.reduction import ReduceOutcome, Status, Step, _finish, _fire
 from sfcalc.terms import App, Term
 
-Hit = Optional[tuple[tuple[int, ...], str, Term]]
+Hit = Optional[tuple[tuple[int, ...], str, Term, Term]]  # path, rule, redex, contractum
 
 
 def replace_at(t: Term, path: tuple[int, ...], new: Term) -> Term:
@@ -47,7 +47,7 @@ def _find_normal(t: Term) -> Hit:
         path, u = stack.pop()
         hit = _fire(u)
         if hit is not None:
-            return path, hit[0], hit[1]
+            return path, hit[0], u, hit[1]
         if isinstance(u, App):
             stack.append((path + (1,), u.arg))
             stack.append((path + (0,), u.fun))
@@ -68,7 +68,7 @@ def _find_applicative(t: Term) -> Hit:
         else:
             hit = _fire(u)
             if hit is not None:
-                return path, hit[0], hit[1]
+                return path, hit[0], u, hit[1]
     return None
 
 
@@ -82,10 +82,9 @@ def _rescan(find: Callable[[Term], Hit], t: Term, budget: int) -> ReduceOutcome:
             return _finish(current, taken, tuple(trail))
         if taken >= budget:
             return ReduceOutcome(Status.BUDGET, current, taken, tuple(trail))
-        path, rule, contractum = hit
-        after = replace_at(current, path, contractum)
-        trail.append(Step(path, rule, before=current, after=after))
-        current = after
+        path, rule, redex, contractum = hit
+        trail.append(Step(path, rule, redex, contractum))
+        current = replace_at(current, path, contractum)
         taken += 1
 
 

@@ -25,7 +25,7 @@ from sfcalc.cli import (
     main,
     parse_prelude,
 )
-from sfcalc.syntax import parse, render
+from sfcalc.syntax import MAX_PRINT_NODES, parse, render
 from sfcalc.terms import Calculus
 
 
@@ -62,6 +62,27 @@ class TestReduceAndTrace:
         assert code == EXIT_BUDGET
         assert re.fullmatch(r"<term of \d{10} nodes, hash [0-9a-f]+>\n", out), out[:200]
         assert err == "budget exhausted after 500 steps\n"
+
+    def test_trace_lines_elide_terms_past_the_cap(self):
+        # D^16 x with D = S(SKK)(SKK) = λy. y y: applicative order doubles
+        # x sixteen times.  The last doubling builds contracta of more
+        # than MAX_PRINT_NODES nodes, and two of its steps fire on them.
+        term = "x"
+        for _ in range(16):
+            term = f"S(SKK)(SKK)({term})"
+        code, out, err = run("trace", "--calc", "sk", "--strategy", "applicative", term)
+        assert (code, err) == (EXIT_OK, "")
+        *lines, result = out.splitlines()
+        assert len(lines) == 80
+        assert re.fullmatch(r"<term of 131071 nodes, hash [0-9a-f]+>", result)
+        sides = [side for line in lines for side in line.split(" : ")[1].split(" => ")]
+        elided = [re.fullmatch(r"<term of (\d+) nodes, hash [0-9a-f]+>", s) for s in sides]
+        assert sum(m is not None for m in elided) == 5
+        assert all(int(m[1]) > MAX_PRINT_NODES for m in elided if m)
+        # Every leaf is one letter, so a side printed in full has
+        # 2 * letters - 1 nodes.
+        printed = [2 * sum(map(str.isalpha, s)) - 1 for s, m in zip(sides, elided) if not m]
+        assert max(printed) <= MAX_PRINT_NODES
 
     def test_reduce_stuck_note_on_stderr(self):
         # F applied to a variable cannot be classified, so reduction stops.
@@ -335,6 +356,17 @@ class TestDemo:
 
     def test_identity_pair_demo_is_reproducible(self):
         assert run("demo", "skk-sks") == run("demo", "skk-sks")
+
+    @pytest.mark.parametrize("name, budget, line", [
+        ("sf-equality", "50", "eq left left = (budget)   (50 steps)"),
+        ("skk-sks", "30",
+         "SF eq: budget exhausted after 30 steps on the images S(FF)(FF) and S(FF)S"),
+    ], ids=["sf-equality", "skk-sks"])
+    def test_budget_stop_is_not_a_verdict(self, name, budget, line):
+        code, out, err = run("demo", name, "--budget", budget)
+        assert code == EXIT_BUDGET
+        assert line in out.splitlines()
+        assert "false" not in out and "distinguish" not in out
 
     def test_sf_equality_demo(self):
         code, out, err = run("demo", "sf-equality")

@@ -23,12 +23,11 @@ from sfcalc.reduction import (
     extensionally_agree,
     normalize,
     render_trace,
-    step_once,
 )
 from sfcalc.syntax import parse, render
-from sfcalc.terms import App, Atom, Calculus, F, K, S, Var, app, subterm_at, substitute
+from sfcalc.terms import App, Atom, Calculus, F, K, S, Var, app, substitute
 
-from normal_order_oracle import reference_applicative, reference_normalize
+from normal_order_oracle import reference_applicative, reference_normalize, replace_at
 
 SK = Calculus.SK
 SF = Calculus.SF
@@ -64,12 +63,27 @@ def outcome_key(o):
 
 
 def step_key(s):
-    return s.path, s.rule, key(s.before), key(s.after)
+    return s.path, s.rule, key(s.redex), key(s.contractum)
+
+
+def replay(t, steps):
+    """t and the whole term after each step: the term before it with the
+    step's contractum put in at the step's path."""
+    terms = [t]
+    for s in steps:
+        terms.append(replace_at(terms[-1], s.path, s.contractum))
+    return terms
+
+
+def first_step(t, calc, strategy=Strategy.NORMAL):
+    """The one step a budget-1 trace takes, or None on a normal form."""
+    steps = normalize(t, calc, strategy, budget=1, trace=True).steps
+    return steps[0] if steps else None
 
 
 def assert_matches_oracle(t, calc, budgets=BUDGETS, strategy=Strategy.NORMAL):
     """The engine agrees with the reference stepper at every budget, on
-    the outcome and on every traced step, and so does step_once."""
+    the outcome and on every traced step."""
     reference = REFERENCES[strategy]
     for budget in budgets:
         want = reference(t, budget)
@@ -79,9 +93,6 @@ def assert_matches_oracle(t, calc, budgets=BUDGETS, strategy=Strategy.NORMAL):
         assert outcome_key(traced) == outcome_key(want), (t, budget)
         assert plain.steps == ()
         assert list(map(step_key, traced.steps)) == list(map(step_key, want.steps)), (t, budget)
-    first = step_once(t, calc, strategy)
-    want = reference(t, 1).steps
-    assert ([] if first is None else [step_key(first)]) == list(map(step_key, want)), t
 
 
 class TestRules:
@@ -124,25 +135,26 @@ class TestRules:
 
 class TestStepOnce:
     def test_none_on_normal_forms(self):
-        assert step_once(parse("S(KK)", SK), SK) is None
-        assert step_once(S, SF) is None
+        assert first_step(parse("S(KK)", SK), SK) is None
+        assert first_step(S, SF) is None
 
     def test_normal_order_is_leftmost_outermost(self):
         t = parse("K S (K K S)", SK)
-        step = step_once(t, SK)
+        step = first_step(t, SK)
         assert step.rule == RULE_K and step.path == ()
+        assert step.redex == t and step.contractum == S
 
     def test_applicative_order_reduces_arguments_first(self):
         t = parse("K S (K K S)", SK)
-        step = step_once(t, SK, Strategy.APPLICATIVE)
-        assert step.path != ()
-        assert subterm_at(t, step.path) == parse("K K S", SK)
+        step = first_step(t, SK, Strategy.APPLICATIVE)
+        assert step.path == (1,)
+        assert step.redex == parse("K K S", SK) and step.contractum == K
 
     def test_normal_order_enters_unfactorable_f_argument(self):
         t = app(F, parse("SSSS", SF), Var("M"), Var("N"))
-        step = step_once(t, SF)
-        assert step.rule == RULE_S
-        assert subterm_at(t, step.path) == parse("SSSS", SF)
+        step = first_step(t, SF)
+        assert step.rule == RULE_S and step.path == (0, 0, 1)
+        assert step.redex == parse("SSSS", SF)
 
 
 class TestNormalize:
@@ -277,7 +289,7 @@ def assert_memo_is_step_exact(t, calc, top):
     """Untraced runs, which reuse shared arguments' normal forms, match
     the memo-free traced run at budgets 0-59 and every 29th up to top."""
     ref = normalize(t, calc, budget=top, trace=True)
-    terms = [t] + [s.after for s in ref.steps]
+    terms = replay(t, ref.steps)
     for budget in (*range(min(60, top + 1)), *range(60, top + 1, 29)):
         if budget < ref.steps_taken or ref.status is Status.BUDGET:
             want = (Status.BUDGET, budget, None, key(terms[budget]))
@@ -308,20 +320,29 @@ class TestCallByNeed:
 
 
 class TestTrace:
-    def test_steps_chain(self):
-        out = normalize(parse("S(KK)(KS)S", SK), SK, trace=True)
-        assert out.steps, "expected at least one step"
-        assert out.steps[0].before == parse("S(KK)(KS)S", SK)
-        assert out.steps[-1].after == out.term
-        for a, b in zip(out.steps, out.steps[1:]):
-            assert a.after == b.before
-
-    def test_redex_sits_at_recorded_path(self):
-        out = normalize(parse("K(KSS)(KSS)", SK), SK, trace=True)
-        for step in out.steps:
-            redex = subterm_at(step.before, step.path)
-            contractum = subterm_at(step.after, step.path)
-            assert redex != contractum
+    @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+    def test_replaying_contracta_rebuilds_every_term(self, strategy):
+        # Putting each traced contractum in at its path, from the input,
+        # gives the term of every budget stop along the way, then the
+        # final term: normal, or a budget stop for the divergent ones.
+        w_sk, w_sf = "S(SKK)(SKK)", "S(S(FF)(FF))(S(FF)(FF))"  # λx. x x
+        for text, calc in (
+            ("S(KK)(KS)S", SK),
+            ("K(KSS)(KSS)", SK),
+            (f"K a ({w_sk}({w_sk}))", SK),
+            ("F(F(F x M N) a b) c d", SF),
+            ("S(FF)(FF)(F(F(F x M N)(S S S S) b) c (SSSS))", SF),
+            (f"S S (F ({w_sf}({w_sf})) M N) x y", SF),
+        ):
+            t = parse(text, calc)
+            traced = normalize(t, calc, strategy, budget=60, trace=True)
+            terms = replay(t, traced.steps)
+            assert len(terms) == traced.steps_taken + 1
+            assert key(terms[-1]) == key(traced.term), text
+            for budget in range(traced.steps_taken):
+                stop = normalize(t, calc, strategy, budget=budget)
+                assert stop.status is Status.BUDGET
+                assert key(stop.term) == key(terms[budget]), (text, budget)
 
     def test_render_trace_format(self):
         out = normalize(parse("SKKS", SK), SK, trace=True)

