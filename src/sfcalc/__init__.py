@@ -25,7 +25,6 @@ from .models import (
     CheckReport,
     CheckRow,
     Comp,
-    Encoding,
     Model,
     ModelResult,
     Mu,
@@ -40,8 +39,6 @@ from .models import (
     build_probe_corpus,
     cantor_pair,
     cantor_unpair,
-    check_simulation,
-    check_weak_equivalence,
     enumerate_closed_terms,
     enumerate_normal_forms,
     eval_rec,
@@ -49,7 +46,6 @@ from .models import (
     gterm,
     normal_model,
     random_closed_term,
-    rec_arity,
     recursive_model,
 )
 from .reduction import (

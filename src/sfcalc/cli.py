@@ -35,6 +35,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import re
 import sys
 from typing import IO, Mapping, Sequence
 
@@ -118,8 +119,10 @@ def parse_prelude(
         if len(head_parts) != 2 or head_parts[0] != "let" or not sep:
             raise PreludeError(f"expected 'let name = term;', got {chunk!r}")
         name = head_parts[1]
-        if not (name[0].isalpha() and name[0].islower() and name.isidentifier()):
-            raise PreludeError(f"prelude names are lowercase identifiers: {name!r}")
+        if not re.fullmatch(r"[a-z][a-z0-9_]*", name):
+            raise PreludeError(
+                f"prelude names are lowercase identifiers [a-z][a-z0-9_]*: {name!r}"
+            )
         body = substitute(parse(body_src, calc), bindings)
         if not body.closed:
             raise PreludeError(

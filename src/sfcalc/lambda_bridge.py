@@ -10,9 +10,9 @@ optimizations:
     [x] (P Q)  = S ([x]P) ([x]Q)
 
 Surface syntax: ``\\`` introduces an abstraction whose body extends as
-far right as possible, each decimal digit is a deBruijn index (0-9),
-juxtaposition applies, parentheses group; e.g. ``\\\\1 0`` is the term
-taking f then x to f x.
+far right as possible, a run of decimal digits is one deBruijn index
+(``10`` is index 10; write ``1 0`` for two), juxtaposition applies,
+parentheses group; e.g. ``\\\\1 0`` is the term taking f then x to f x.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Computability models and the empirical check harness.
+"""Computability models, term codes and the tables that checks report in.
 
 Three models of computation are wrapped behind one interface:
 
@@ -10,13 +10,8 @@ Three models of computation are wrapped behind one interface:
 
 The module also provides the pairing-based code of closed operator terms
 (`gnum` / `gterm`), enumeration of closed terms and closed normal forms,
-seeded probe corpora, and two table-producing checks:
-
-* `check_simulation`: an encoding from a source model into a target model
-  carries each chosen source program to a target program with the same
-  behavior on encoded inputs;
-* `check_weak_equivalence`: the round trip through a pair of encodings is
-  itself computable inside the model being checked.
+seeded probe corpora, and the report tables (`CheckReport`) that the
+simulation and weak-equivalence cases in `witnesses` fill in.
 """
 
 from __future__ import annotations
@@ -24,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from math import ceil, isqrt, log2
-from typing import Callable, Generator, Iterable, Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .reduction import Status, normalize
 from .syntax import render
@@ -42,10 +37,14 @@ class ArityError(ValueError):
 class Zero:
     """z(x) = 0 (unary)."""
 
+    arity = 1
+
 
 @dataclass(frozen=True)
 class Succ:
     """s(x) = x + 1 (unary)."""
+
+    arity = 1
 
 
 @dataclass(frozen=True)
@@ -54,6 +53,12 @@ class Proj:
 
     i: int
     k: int
+    arity: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.i <= self.k:
+            raise ArityError(f"projection index {self.i} out of range 1..{self.k}")
+        object.__setattr__(self, "arity", self.k)
 
 
 @dataclass(frozen=True)
@@ -62,9 +67,20 @@ class Comp:
 
     outer: "RecFn"
     inners: tuple["RecFn", ...]
+    arity: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "inners", tuple(self.inners))
+        if not self.inners:
+            raise ArityError("composition needs at least one inner function")
+        if self.outer.arity != len(self.inners):
+            raise ArityError(
+                f"outer arity {self.outer.arity} != {len(self.inners)} inner functions"
+            )
+        arities = {g.arity for g in self.inners}
+        if len(arities) != 1:
+            raise ArityError(f"inner functions disagree on arity: {sorted(arities)}")
+        object.__setattr__(self, "arity", arities.pop())
 
 
 @dataclass(frozen=True)
@@ -79,6 +95,13 @@ class PrimRec:
 
     base: "RecFn"
     step: "RecFn"
+    arity: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        k = self.base.arity
+        if self.step.arity != k + 2:
+            raise ArityError(f"recursion step must be {k + 2}-ary, got {self.step.arity}")
+        object.__setattr__(self, "arity", k + 1)
 
 
 @dataclass(frozen=True)
@@ -87,67 +110,23 @@ class Mu:
     searching upward from 0.  body is (k+1)-ary, the result k-ary."""
 
     body: "RecFn"
+    arity: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.body.arity < 2:
+            raise ArityError("minimised body must be at least binary")
+        object.__setattr__(self, "arity", self.body.arity - 1)
 
 
+#: A recursive-function expression.  Every node fixes its `arity` when it
+#: is built, from the arities of its parts, and raises ArityError if they
+#: do not fit together.
 RecFn = Union[Zero, Succ, Proj, Comp, PrimRec, Mu]
 
 ZERO = Zero()
 SUCC = Succ()
 
 DEFAULT_REC_BUDGET = 1_000_000
-
-
-def rec_arity(f: RecFn) -> int:
-    """The arity of f; raises ArityError if f is not arity-consistent.
-
-    Iterative, for deeply nested f: each node's check is a generator that
-    yields the parts whose arities it needs, and is sent them back."""
-    known: dict[int, int] = {}  # id(part) -> arity; f keeps every part alive
-    stack = [(f, _arity_check(f))]
-    arity = None
-    while stack:
-        try:
-            part = stack[-1][1].send(arity)
-        except StopIteration as done:
-            arity = known[id(stack.pop()[0])] = done.value
-        else:
-            arity = known.get(id(part))
-            if arity is None:
-                stack.append((part, _arity_check(part)))
-    return arity
-
-
-def _arity_check(f: RecFn) -> Generator[RecFn, int, int]:
-    if isinstance(f, (Zero, Succ)):
-        return 1
-    if isinstance(f, Proj):
-        if not 1 <= f.i <= f.k:
-            raise ArityError(f"projection index {f.i} out of range 1..{f.k}")
-        return f.k
-    if isinstance(f, Comp):
-        if not f.inners:
-            raise ArityError("composition needs at least one inner function")
-        outer = yield f.outer
-        if outer != len(f.inners):
-            raise ArityError(f"outer arity {outer} != {len(f.inners)} inner functions")
-        arities = set()
-        for g in f.inners:
-            arities.add((yield g))
-        if len(arities) != 1:
-            raise ArityError(f"inner functions disagree on arity: {sorted(arities)}")
-        return arities.pop()
-    if isinstance(f, PrimRec):
-        k = yield f.base
-        step = yield f.step
-        if step != k + 2:
-            raise ArityError(f"recursion step must be {k + 2}-ary, got {step}")
-        return k + 1
-    if isinstance(f, Mu):
-        k = yield f.body
-        if k < 2:
-            raise ArityError("minimised body must be at least binary")
-        return k - 1
-    raise TypeError(f"not a recursive function: {f!r}")
 
 
 @dataclass(frozen=True)
@@ -164,8 +143,8 @@ class _OutOfBudget(Exception):
 def eval_rec(f: RecFn, args: Sequence[int], budget: int = DEFAULT_REC_BUDGET) -> RecOutcome:
     """Evaluate f on args.  Every node evaluation costs one unit of
     budget; minimisation and deep recursion exhaust it instead of hanging."""
-    if len(args) != rec_arity(f):
-        raise ArityError(f"expected {rec_arity(f)} arguments, got {len(args)}")
+    if len(args) != f.arity:
+        raise ArityError(f"expected {f.arity} arguments, got {len(args)}")
     remaining = [budget]
 
     def ev(g: RecFn, xs: list[int]) -> int:
@@ -387,17 +366,7 @@ def normal_model(calc: Calculus, budget: int = 100_000) -> Model:
     return Model(name=f"normal-{calc.value}", contains=contains, apply=apply)
 
 
-# --- encodings and checks -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Encoding:
-    """A map from the source model's values into the target model's."""
-
-    name: str
-    source: Model
-    target: Model
-    fn: Callable[[object], object]
+# --- report tables --------------------------------------------------------------
 
 
 _MAX_SHOW_DIGITS = 40
@@ -414,12 +383,6 @@ def show_value(v: object) -> str:
         if approx_digits > _MAX_SHOW_DIGITS:
             return f"~10^{approx_digits - 1}"
     return str(v)
-
-
-def _show_args(xs: Sequence[object]) -> str:
-    if len(xs) == 1:
-        return show_value(xs[0])
-    return "(" + ", ".join(show_value(x) for x in xs) + ")"
 
 
 @dataclass(frozen=True)
@@ -468,79 +431,3 @@ class CheckReport:
         lines.extend("\t".join((r.input, r.lhs, r.rhs, r.verdict)) for r in self.rows)
         return "\n".join(lines)
 
-
-def check_simulation(
-    name: str,
-    enc: Encoding,
-    source_program: object,
-    target_program: object,
-    inputs: Iterable[Sequence[object]],
-) -> CheckReport:
-    """For each input tuple, run the source program, encode its result,
-    and compare against the target program run on the encoded inputs.
-    Source budget exhaustion skips the row; target disagreement, budget
-    exhaustion, or undefinedness against a defined source is a violation."""
-    report = CheckReport(name)
-    for xs in inputs:
-        xs = tuple(xs)
-        shown = _show_args(xs)
-        sres = enc.source.apply(source_program, list(xs))
-        if sres.status == "budget":
-            report.rows.append(CheckRow(shown, "(source budget)", "-", "skipped"))
-            continue
-        tres = enc.target.apply(target_program, [enc.fn(x) for x in xs])
-        if sres.status == "undefined":
-            verdict = "ok" if tres.status == "undefined" else "mismatch"
-            report.rows.append(
-                CheckRow(shown, "undefined", f"({tres.status})", verdict)
-            )
-            continue
-        expected = enc.fn(sres.value)
-        if tres.status != "ok":
-            report.rows.append(
-                CheckRow(shown, show_value(expected), f"({tres.status})",
-                         f"target-{tres.status}")
-            )
-            continue
-        verdict = "ok" if expected == tres.value else "mismatch"
-        report.rows.append(
-            CheckRow(shown, show_value(expected), show_value(tres.value), verdict)
-        )
-    return report
-
-
-def check_weak_equivalence(
-    name: str,
-    m1: Model,
-    m2: Model,
-    rho1: Callable[[object], object],
-    rho2: Callable[[object], object],
-    recoding2: object,
-    inputs: Iterable[object],
-) -> CheckReport:
-    """Check one direction of weak equivalence between m1 and m2: the
-    round trip rho2(rho1(x)) through the decoding rho1 (m2 values to m1
-    values) and the encoding rho2 (back again) must be computed inside m2
-    by the program recoding2, for every input x in m2's domain."""
-    report = CheckReport(name)
-    for x in inputs:
-        if not m2.contains(x):
-            raise ValueError(f"input {show_value(x)} is not in {m2.name}'s domain")
-        decoded = rho1(x)
-        if not m1.contains(decoded):
-            raise ValueError(
-                f"decoding of {show_value(x)} is not in {m1.name}'s domain"
-            )
-        expected = rho2(decoded)
-        res = m2.apply(recoding2, [x])
-        if res.status != "ok":
-            verdict = f"target-{res.status}"
-            shown_rhs = f"({res.status})"
-        elif expected == res.value:
-            verdict, shown_rhs = "ok", show_value(res.value)
-        else:
-            verdict, shown_rhs = "mismatch", show_value(res.value)
-        report.rows.append(
-            CheckRow(show_value(x), show_value(expected), shown_rhs, verdict)
-        )
-    return report

@@ -8,6 +8,7 @@ spawning subprocesses.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
 import re
 import time
@@ -336,6 +337,28 @@ class TestCheck:
         assert code == EXIT_ERROR
         assert "target-budget" in out
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (("sim", "all"),
+             "4288cbb462d5c768746943b322c608c0b6696dab562769074059e0ed913ce1e1"),
+            (("sim", "all", "--tsv"),
+             "ec756cab6c8f9fdc7862e92e8ddec3709e7f06901ecb653f6b65c2c6e9f6d591"),
+            (("weakequiv", "godelize-sf"),
+             "21ec1888f3ef6e6b6967bea61508cb41253b24d2bb8c14f0e910489c256033fa"),
+            (("weakequiv", "word-number-tm"),
+             "de9c928d1a157628267da952b2c995977a62f6b3274a4f7d143929b55505e921"),
+            (("weakequiv", "number-word-rec"),
+             "f87dd8906367941bc90beadc87397f7d10390e741ac90dccc548b15026fc092f"),
+        ],
+        ids=["sim-all", "sim-all-tsv", "godelize-sf", "word-number-tm", "number-word-rec"],
+    )
+    def test_check_output_is_pinned(self, argv, digest):
+        # Every row of these reports, byte for byte.
+        code, out, err = run("check", *argv)
+        assert (code, err) == (EXIT_OK, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_missing_name_is_usage_error(self):
         code, out, err = run("check", "sim")
         assert code == EXIT_USAGE
@@ -547,6 +570,22 @@ class TestPrelude:
         code, out, err = run("reduce", "S", "--prelude", str(path))
         assert code == EXIT_ERROR
         assert "lowercase identifiers" in err
+
+    @pytest.mark.parametrize("name", ["fooBar", "\u00e9t", "x\u00e9", "_x", "x\u0663"])
+    def test_names_the_term_syntax_cannot_read_are_rejected(self, tmp_path, name):
+        # `fooBar` would read back as the open term `foo B ar`, and a
+        # non-ASCII letter is no name at all in the term syntax.
+        path = tmp_path / "extra.sf"
+        path.write_text(f"let {name} = S;\n", encoding="utf-8")
+        code, out, err = run("reduce", "S", "--prelude", str(path))
+        assert (code, out) == (EXIT_ERROR, "")
+        assert "lowercase identifiers" in err
+
+    def test_every_name_the_term_syntax_reads_is_accepted(self, tmp_path):
+        path = tmp_path / "extra.sf"
+        path.write_text("let foo_bar2 = S;\nlet x9 = K;\n")
+        code, out, err = run("reduce", "--calc", "sk", "foo_bar2 x9", "--prelude", str(path))
+        assert (code, out, err) == (EXIT_OK, "SK\n", "")
 
     def test_missing_prelude_file(self):
         code, out, err = run("reduce", "S", "--prelude", "no-such-file.sf")

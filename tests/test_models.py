@@ -16,7 +16,6 @@ from sfcalc.models import (
     CheckReport,
     CheckRow,
     Comp,
-    Encoding,
     Mu,
     PrimRec,
     Proj,
@@ -24,8 +23,6 @@ from sfcalc.models import (
     build_probe_corpus,
     cantor_pair,
     cantor_unpair,
-    check_simulation,
-    check_weak_equivalence,
     enumerate_closed_terms,
     enumerate_normal_forms,
     eval_rec,
@@ -33,13 +30,13 @@ from sfcalc.models import (
     gterm,
     normal_model,
     random_closed_term,
-    rec_arity,
     recursive_model,
     show_value,
 )
 from sfcalc.syntax import render
 from sfcalc.terms import App, Calculus, F, S, Var, app
-from sfcalc.witnesses import rec_const
+from sfcalc.turing import IDENTITY_MACHINE, parse_machine, turing_model
+from sfcalc.witnesses import SimulationCase, WeakEquivalenceCase, rec_const
 
 SK = Calculus.SK
 SF = Calculus.SF
@@ -47,36 +44,39 @@ SF = Calculus.SF
 
 class TestRecArity:
     def test_base_arities(self):
-        assert rec_arity(ZERO) == 1
-        assert rec_arity(SUCC) == 1
-        assert rec_arity(Proj(2, 3)) == 3
+        assert ZERO.arity == 1
+        assert SUCC.arity == 1
+        assert Proj(2, 3).arity == 3
 
     def test_composite_arities(self):
         add = PrimRec(Proj(1, 1), Comp(SUCC, (Proj(2, 3),)))
-        assert rec_arity(add) == 2
-        assert rec_arity(Comp(add, (Proj(1, 1), Proj(1, 1)))) == 1
-        assert rec_arity(Mu(add)) == 1
+        assert add.arity == 2
+        assert Comp(add, (Proj(1, 1), Proj(1, 1))).arity == 1
+        assert Mu(add).arity == 1
 
     def test_ill_formed_programs_are_rejected(self):
+        # Each program raises as it is built, before any evaluation.
         add = PrimRec(Proj(1, 1), Comp(SUCC, (Proj(2, 3),)))
-        for bad in (
-            Comp(add, (SUCC,)),          # outer needs 2 inners
-            Comp(add, (SUCC, add)),      # inner arities disagree
-            Proj(3, 2),                  # index out of range
-            Proj(0, 2),                  # projections are 1-indexed
-            PrimRec(Proj(1, 1), Proj(1, 1)),  # step must take k+2 args
-            Mu(SUCC),                    # mu body needs at least 2 args
-        ):
-            with pytest.raises(ArityError):
-                rec_arity(bad)
+        with pytest.raises(ArityError, match="outer arity 2 != 1 inner functions"):
+            Comp(add, (SUCC,))
+        with pytest.raises(ArityError, match=r"inner functions disagree on arity: \[1, 2\]"):
+            Comp(add, (SUCC, add))
+        with pytest.raises(ArityError, match="projection index 3 out of range 1..2"):
+            Proj(3, 2)
+        with pytest.raises(ArityError, match="projection index 0 out of range 1..2"):
+            Proj(0, 2)  # projections are 1-indexed
+        with pytest.raises(ArityError, match="recursion step must be 3-ary, got 1"):
+            PrimRec(Proj(1, 1), Proj(1, 1))
+        with pytest.raises(ArityError, match="minimised body must be at least binary"):
+            Mu(SUCC)
 
     def test_eval_checks_argument_count(self):
         with pytest.raises(ArityError):
             eval_rec(SUCC, [1, 2])
 
     def test_deeply_nested_program_runs_out_of_budget(self):
-        # The arity check walks 5000 nested compositions without recursion,
-        # so the evaluator gets to charge its budget.
+        # Each of the 5000 nested compositions fixed its arity when it was
+        # built, so the evaluator gets to charge its budget.
         assert eval_rec(rec_const(5000, 1), [0], budget=100) == RecOutcome("budget", None, 100)
 
 
@@ -304,32 +304,60 @@ class TestReports:
 
     def test_check_simulation_happy_path(self):
         rec = recursive_model()
-        enc = Encoding("id", rec, rec, lambda n: n)
         add = PrimRec(Proj(1, 1), Comp(SUCC, (Proj(2, 3),)))
-        report = check_simulation(
-            "self", enc, add, add, [(a, b) for a in range(3) for b in range(3)]
-        )
+        inputs = tuple((a, b) for a in range(3) for b in range(3))
+        report = SimulationCase("self", "", rec, rec, lambda n: n, add, add, inputs).run()
         assert report.ok and len(report.rows) == 9
 
     def test_check_simulation_detects_mismatch(self):
         rec = recursive_model()
-        enc = Encoding("id", rec, rec, lambda n: n)
         add = PrimRec(Proj(1, 1), Comp(SUCC, (Proj(2, 3),)))
         mul = PrimRec(ZERO, Comp(add, (Proj(1, 3), Proj(2, 3))))
-        report = check_simulation("wrong", enc, add, mul, [(2, 3)])
+        report = SimulationCase("wrong", "", rec, rec, lambda n: n, add, mul, ((2, 3),)).run()
         assert len(report.violations) == 1
-        assert report.rows[0].verdict == "mismatch"
+        assert report.rows[0] == CheckRow("(2, 3)", "5", "6", "mismatch")
 
     def test_check_simulation_skips_source_budget(self):
         tight = recursive_model(budget=2)
-        enc = Encoding("id", tight, recursive_model(), lambda n: n)
         add = PrimRec(Proj(1, 1), Comp(SUCC, (Proj(2, 3),)))
-        report = check_simulation("skip", enc, add, add, [(3, 3)])
+        case = SimulationCase(
+            "skip", "", tight, recursive_model(), lambda n: n, add, add, ((3, 3),)
+        )
+        report = case.run()
         assert len(report.skipped) == 1 and report.ok
+        assert report.rows[0] == CheckRow("(3, 3)", "(source budget)", "-", "skipped")
+
+    def test_check_simulation_target_budget_is_a_violation(self):
+        add = PrimRec(Proj(1, 1), Comp(SUCC, (Proj(2, 3),)))
+        case = SimulationCase(
+            "tight", "", recursive_model(), recursive_model(budget=2),
+            lambda n: n, add, add, ((3, 3),),
+        )
+        assert case.run().rows == [CheckRow("(3, 3)", "6", "(budget)", "target-budget")]
+
+    @pytest.mark.parametrize(
+        "target_machine, rhs, verdict",
+        [("reject", "(undefined)", "ok"), ("identity", "(ok)", "mismatch")],
+    )
+    def test_check_simulation_undefined_source(self, target_machine, rhs, verdict):
+        # A rejecting machine is undefined on every word: the row is ok
+        # only when the target program is undefined there too.
+        reject = parse_machine("start q0\naccept acc\nreject rej\nalphabet ASKF\n")
+        target = reject if target_machine == "reject" else IDENTITY_MACHINE
+        tm = turing_model()
+        case = SimulationCase(
+            "undef", "", tm, tm, lambda w: w, reject, target, (("AS",), ("",))
+        )
+        report = case.run()
+        assert report.rows == [
+            CheckRow("'AS'", "undefined", rhs, verdict),
+            CheckRow("''", "undefined", rhs, verdict),
+        ]
+        assert report.ok is (verdict == "ok")
+        assert report.render().splitlines()[1].split() == ["'AS'", "undefined", rhs, verdict]
 
     def test_check_weak_equivalence_domain_error(self):
         rec = recursive_model()
-        with pytest.raises(ValueError):
-            check_weak_equivalence(
-                "bad", rec, rec, lambda x: x, lambda x: x, SUCC, [-5]
-            )
+        case = WeakEquivalenceCase("bad", "", rec, rec, lambda x: x, lambda x: x, SUCC, (-5,))
+        with pytest.raises(ValueError, match="input -5 is not in recursive's domain"):
+            case.run()

@@ -7,7 +7,7 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
-from sfcalc.models import cantor_pair, eval_rec, gnum, rec_arity
+from sfcalc.models import cantor_pair, eval_rec, gnum
 from sfcalc.stdlib import build_catalog, church
 from sfcalc.terms import App, Calculus, F, S
 from sfcalc.witnesses import (
@@ -34,11 +34,11 @@ SF = Calculus.SF
 
 class TestArithmeticPrograms:
     def test_arities(self):
-        assert rec_arity(rec_add) == 2
-        assert rec_arity(rec_mul) == 2
-        assert rec_arity(rec_succ) == 1
-        assert rec_arity(rec_pred) == 1
-        assert rec_arity(rec_iszero) == 1
+        assert rec_add.arity == 2
+        assert rec_mul.arity == 2
+        assert rec_succ.arity == 1
+        assert rec_pred.arity == 1
+        assert rec_iszero.arity == 1
 
     def test_values_match_python(self):
         for a in range(6):
@@ -51,7 +51,7 @@ class TestArithmeticPrograms:
 
     def test_rec_const(self):
         five = rec_const(5, 1)
-        assert rec_arity(five) == 1
+        assert five.arity == 1
         assert eval_rec(five, [9]).value == 5
         two_ary = rec_const(3, 2)
         assert eval_rec(two_ary, [0, 0]).value == 3
@@ -70,7 +70,7 @@ class TestCodePrograms:
     def test_rec_code_of_mirrors_gnum(self):
         for t in (S, F, App(S, S), App(F, F), App(App(S, S), F)):
             program = rec_code_of(t, 1)
-            assert rec_arity(program) == 1
+            assert program.arity == 1
             assert eval_rec(program, [0]).value == gnum(t)
 
     def test_church_code_oracle_pins(self):
@@ -87,7 +87,7 @@ class TestCodePrograms:
 
     def test_church_code_recfn_is_well_formed_but_infeasible(self):
         program = church_code_recfn()
-        assert rec_arity(program) == 1
+        assert program.arity == 1
         # Even n = 0 must count to ~10^61 one successor at a time, so any
         # realistic budget runs out long before a value appears.
         out = eval_rec(program, [0], budget=1_000_000)
