@@ -1,17 +1,20 @@
 """deBruijn lambda-terms, beta-reduction, and bracket abstraction.
 
-The bridge between the lambda-model and the combinator calculi: closed
-lambda-terms translate to SK (or SF, with K spelled F F) combinators via
-the plain three-clause bracket abstraction, with no eta or free-variable
-optimizations:
+The bridge between the lambda-model and the combinator calculi.  One
+bracket abstraction, `abstract`, holds both clause sets.  Closed
+lambda-terms translate to SK (or SF, with K spelled F F) combinators by
+the plain three-clause set, with no eta or free-variable optimizations:
 
     [x] x      = S K K
     [x] leaf   = K leaf          (operator atom or other variable)
     [x] (P Q)  = S ([x]P) ([x]Q)
 
+The catalog (`stdlib.lam`) adds [x] M = K M and [x] (M x) = M for M in
+which x does not occur, which keep its bodies small.
+
 Surface syntax: ``\\`` introduces an abstraction whose body extends as
-far right as possible, a run of decimal digits is one deBruijn index
-(``10`` is index 10; write ``1 0`` for two), juxtaposition applies,
+far right as possible, a run of ASCII digits ``0``-``9`` is one deBruijn
+index (``10`` is index 10; write ``1 0`` for two), juxtaposition applies,
 parentheses group; e.g. ``\\\\1 0`` is the term taking f then x to f x.
 """
 
@@ -57,11 +60,16 @@ LambdaTerm = Union[Index, Lam, LApp]
 
 def lam_closed(t: LambdaTerm, depth: int = 0) -> bool:
     """Closed iff every Index n sits under more than n enclosing Lams."""
-    if isinstance(t, Index):
-        return t.n < depth
-    if isinstance(t, Lam):
-        return lam_closed(t.body, depth + 1)
-    return lam_closed(t.fun, depth) and lam_closed(t.arg, depth)
+    stack = [(t, depth)]
+    while stack:
+        u, d = stack.pop()
+        if isinstance(u, Lam):
+            stack.append((u.body, d + 1))
+        elif isinstance(u, LApp):
+            stack += [(u.fun, d), (u.arg, d)]
+        elif u.n >= d:
+            return False
+    return True
 
 
 # --- surface syntax ----------------------------------------------------------
@@ -75,55 +83,42 @@ def parse_lambda(text: str) -> LambdaTerm:
     """Parse deBruijn λ-text: ``λ`` or ``\\`` binds, digits are indices,
     juxtaposition applies left-associatively, and a binder's body extends
     as far right as possible (``λ0 0`` is ``λ(0 0)``)."""
-    pos = 0
-
-    def skip_ws() -> None:
-        nonlocal pos
-        while pos < len(text) and text[pos].isspace():
+    # One frame per open '(' or binder: (kind, term-so-far before it).  A
+    # ')' or the end first closes the binders above the nearest '('.
+    frames: list[tuple[str, Optional[LambdaTerm]]] = []
+    current: Optional[LambdaTerm] = None
+    pos, n = 0, len(text)
+    while True:
+        while pos < n and text[pos].isspace():
             pos += 1
-
-    def parse_expr() -> LambdaTerm:
-        nonlocal pos
-        items: list[LambdaTerm] = []
-        while True:
-            skip_ws()
-            if pos >= len(text) or text[pos] == ")":
-                break
-            ch = text[pos]
-            if ch in ("\\", "λ"):
+        ch = text[pos] if pos < n else ")"  # the end closes like a ')'
+        if "0" <= ch <= "9":
+            start = pos
+            while pos < n and "0" <= text[pos] <= "9":
                 pos += 1
-                body = parse_expr()  # body extends as far right as possible
-                items.append(Lam(body))
-                break
-            if ch.isdigit():
-                start = pos
-                while pos < len(text) and text[pos].isdigit():
-                    pos += 1
-                items.append(Index(int(text[start:pos])))
-            elif ch == "(":
-                pos += 1
-                inner = parse_expr()
-                skip_ws()
-                if pos >= len(text) or text[pos] != ")":
+            leaf = Index(int(text[start:pos]))
+            current = leaf if current is None else LApp(current, leaf)
+            continue
+        if ch in "\\λ(":
+            frames.append((ch, current))
+            current = None
+        elif ch != ")":
+            raise LambdaParseError(f"unexpected character {ch!r} (at position {pos})")
+        else:
+            if current is None:
+                raise LambdaParseError(f"empty term (at position {pos})")
+            while frames and frames[-1][0] != "(":
+                outer = frames.pop()[1]
+                current = Lam(current) if outer is None else LApp(outer, Lam(current))
+            if pos == n:
+                if frames:
                     raise LambdaParseError(f"unclosed '(' (at position {pos})")
-                pos += 1
-                items.append(inner)
-            else:
-                raise LambdaParseError(
-                    f"unexpected character {ch!r} (at position {pos})"
-                )
-        if not items:
-            raise LambdaParseError(f"empty term (at position {pos})")
-        out = items[0]
-        for item in items[1:]:
-            out = LApp(out, item)
-        return out
-
-    result = parse_expr()
-    skip_ws()
-    if pos != len(text):
-        raise LambdaParseError(f"unexpected ')' (at position {pos})")
-    return result
+                return current
+            if not frames:
+                raise LambdaParseError(f"unexpected ')' (at position {pos})")
+            outer = frames.pop()[1]
+            current = current if outer is None else LApp(outer, current)
+        pos += 1
 
 
 def render_lambda(t: LambdaTerm) -> str:
@@ -220,15 +215,31 @@ def i_term(calc: Calculus) -> Term:
     return App(App(S, k), k)
 
 
-def _abstract_plain(name: str, m: Term, calc: Calculus) -> Term:
-    if isinstance(m, App):
-        return App(
-            App(S, _abstract_plain(name, m.fun, calc)),
-            _abstract_plain(name, m.arg, calc),
-        )
-    if isinstance(m, Var) and m.name == name:
-        return i_term(calc)
-    return App(k_term(calc), m)
+def abstract(name: str, m: Term, calc: Calculus, optimized: bool) -> Term:
+    """[name]m by the plain clauses, and when `optimized` also by the
+    constant and eta clauses."""
+    k, i = k_term(calc), i_term(calc)
+    # One post-order pass; a shared node is abstracted once.  An image is
+    # None where it is K node: at a leaf other than `name`, and, when
+    # `optimized`, wherever `name` does not occur (a closed node unwalked).
+    images: dict[int, Optional[Term]] = {}
+    stack = [m]
+    while stack:
+        node = stack.pop()
+        if id(node) in images:
+            continue
+        if type(node) is not App or (optimized and node.closed):
+            images[id(node)] = i if type(node) is Var and node.name == name else None
+        elif id(node.fun) not in images or id(node.arg) not in images:
+            stack += [node, node.arg, node.fun]
+        else:
+            fun, arg = images[id(node.fun)], images[id(node.arg)]
+            if optimized and fun is None and (arg is None or type(node.arg) is Var):
+                images[id(node)] = None if arg is None else node.fun  # K or eta
+            else:
+                fun = fun or App(k, node.fun)
+                images[id(node)] = App(App(S, fun), arg or App(k, node.arg))
+    return images[id(m)] or App(k, m)
 
 
 #: The largest translation `bracket_abstract` builds, in nodes.
@@ -236,28 +247,37 @@ MAX_ABSTRACTION_NODES = 100_000
 
 
 def bracket_abstract(t: LambdaTerm, calc: Calculus) -> Term:
-    """Translate a closed lambda-term to a combinator.  Every binder
+    """Translate a closed lambda-term by the plain clauses.  Every binder
     multiplies the term, so a body of n nodes is abstracted only if the
     bound (3 + |I|)(n + 1) / 2 on the result (each App becomes 3 nodes,
     each leaf at most |I|) is within MAX_ABSTRACTION_NODES."""
     if not lam_closed(t):
         raise ValueError("bracket abstraction is defined on closed terms only")
     leaf_bound = 3 + i_term(calc).size
-
-    def go(u: LambdaTerm, env: list[str]) -> Term:
+    # Post-order over (node, binders above it, children done); binder d binds v<d>.
+    done: list[Term] = []
+    stack: list[tuple[LambdaTerm, int, bool]] = [(t, 0, False)]
+    while stack:
+        u, depth, after = stack.pop()
         if isinstance(u, Index):
-            return Var(env[-1 - u.n])
-        if isinstance(u, LApp):
-            return App(go(u.fun, env), go(u.arg, env))
-        name = f"v{len(env)}"
-        body = go(u.body, env + [name])
-        if leaf_bound * (body.size + 1) // 2 > MAX_ABSTRACTION_NODES:
-            raise ValueError(
-                f"the translation would pass {MAX_ABSTRACTION_NODES:,} nodes"
-            )
-        return _abstract_plain(name, body, calc)
-
-    return go(t, [])
+            done.append(Var(f"v{depth - 1 - u.n}"))
+        elif not after:
+            stack.append((u, depth, True))
+            if isinstance(u, Lam):
+                stack.append((u.body, depth + 1, False))
+            else:
+                stack += [(u.arg, depth, False), (u.fun, depth, False)]
+        elif isinstance(u, Lam):
+            body = done.pop()
+            if leaf_bound * (body.size + 1) // 2 > MAX_ABSTRACTION_NODES:
+                raise ValueError(
+                    f"the translation would pass {MAX_ABSTRACTION_NODES:,} nodes"
+                )
+            done.append(abstract(f"v{depth}", body, calc, optimized=False))
+        else:
+            arg = done.pop()
+            done.append(App(done.pop(), arg))
+    return done[0]
 
 
 def church_lambda(n: int) -> LambdaTerm:

@@ -5,10 +5,10 @@ Godelization inside the calculus.
 
 Construction notes:
 
-* Catalog bodies are built with an optimized bracket abstraction
-  (constant and eta clauses) to keep terms small; this is a library
-  construction choice and is independent of the lambda-bridge, whose
-  plain three-clause translation is part of the public contract.
+* Catalog bodies are built by the lambda-bridge's `abstract` with its
+  constant and eta clauses on, to keep terms small; this is a library
+  construction choice, while the plain three-clause translation that
+  `bracket_abstract` runs with them off is part of the public contract.
 * Church numerals come from the lambda-bridge's plain translation, so
   numeral n+1 is literally succ applied to numeral n, where succ is the
   numeral scaffold S B shared by all numerals.  The arithmetic suite
@@ -28,35 +28,16 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .lambda_bridge import bracket_abstract, church_lambda, i_term, k_term
+from .lambda_bridge import abstract, bracket_abstract, church_lambda, i_term, k_term
 from .reduction import normalize
-from .terms import App, Calculus, F, S, Term, Var, app, free_vars, var
-
-# --- optimized bracket abstraction for catalog internals ----------------------
-
-
-def abstract(name: str, m: Term, calc: Calculus) -> Term:
-    """[name]m with the constant clause (K m when name is not free in m)
-    and the eta clause ([x](M x) = M)."""
-    if name not in free_vars(m):
-        return App(k_term(calc), m)
-    if isinstance(m, Var):
-        return i_term(calc)  # the free-variable check left only m == name
-    assert isinstance(m, App)
-    if (
-        isinstance(m.arg, Var)
-        and m.arg.name == name
-        and name not in free_vars(m.fun)
-    ):
-        return m.fun
-    return App(App(S, abstract(name, m.fun, calc)), abstract(name, m.arg, calc))
+from .terms import App, Calculus, F, Term, app, var
 
 
 def lam(names: Sequence[str] | str, body: Term, calc: Calculus) -> Term:
     """Abstract several variables: lam("mn", body) is [m][n]body."""
     out = body
     for name in reversed(list(names)):
-        out = abstract(name, out, calc)
+        out = abstract(name, out, calc, optimized=True)
     return out
 
 
@@ -110,8 +91,7 @@ def build_catalog(calc: Calculus) -> Mapping[str, NamedCombinator]:
         entries.append(NamedCombinator(name, calc, body, contract, nf))
         return body
 
-    def L(names: str, body: Term) -> Term:
-        return lam(names, body, calc)
+    L = functools.partial(lam, calc=calc)
 
     m, n, a, b, o, p, q, r, s, g, h, e = (
         var(x) for x in "mnabopqrsghe"

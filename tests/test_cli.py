@@ -26,8 +26,9 @@ from sfcalc.cli import (
     main,
     parse_prelude,
 )
+from sfcalc.reduction import Strategy, normalize
 from sfcalc.syntax import MAX_PRINT_NODES, parse, render
-from sfcalc.terms import Calculus
+from sfcalc.terms import App, Calculus, Var, app
 
 
 def run(*argv: str) -> tuple[int, str, str]:
@@ -237,10 +238,38 @@ class TestLambda:
         code, out, err = run("lambda", "0")
         assert code == EXIT_ERROR
 
-    def test_deep_nesting_is_an_error_not_a_traceback(self):
+    def test_deep_binder_tower_stops_at_the_node_cap(self):
         code, out, err = run("lambda", "\\" * 3000 + "0")
         assert (code, out) == (EXIT_ERROR, "")
-        assert err.startswith("error:")
+        assert err == "error: the translation would pass 100,000 nodes\n"
+
+    @pytest.mark.parametrize("digit", ["\u00b2", "\u0660"])
+    def test_non_ascii_digits_are_refused(self, digit):
+        code, out, err = run("lambda", f"λ{digit}")
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == f"error: unexpected character {digit!r} (at position 1)\n"
+
+    def test_long_application_translates(self):
+        # λ0 0 … 0 with 3,001 indices: applied to v it gives v v … v.  In
+        # applicative order, since the normal-order machine rebuilds this
+        # 3,000-argument spine after every step.
+        code, out, err = run("lambda", "--calc", "sk", "λ" + " 0" * 3001)
+        assert (code, err) == (EXIT_OK, "")
+        v = Var("v")
+        term = App(parse(out, Calculus.SK), v)
+        got = normalize(term, Calculus.SK, Strategy.APPLICATIVE)
+        assert got.is_normal and got.term == app(v, *[v] * 3000)
+
+    def test_deeply_nested_application_translates(self):
+        # λ0 (0 (… 0)) nested 1,000 deep: applied to v it gives v (v (… v)).
+        text = "λ" + "0 (" * 999 + "0" + ")" * 999
+        code, out, err = run("lambda", "--calc", "sk", text)
+        assert (code, err) == (EXIT_OK, "")
+        v = want = Var("v")
+        for _ in range(999):
+            want = App(v, want)
+        got = normalize(App(parse(out, Calculus.SK), v), Calculus.SK)
+        assert got.is_normal and got.term == want
 
     def test_translation_past_the_node_cap_is_refused_quickly(self):
         # Unchecked, the SF translation would have about 39 million nodes.
@@ -479,6 +508,18 @@ def _grammar(leaves: list[str], binder: bool) -> st.SearchStrategy[str]:
 
 
 TERM_TEXT = _grammar(["S", "K", "F", "x", "k", "i", "c2"], binder=False)
+# Long and deep λ-text: a prefix repeated up to 2,000 times around a
+# core, closed by a suffix repeated as often, sometimes cut short.
+DEEP_LAMBDA_TEXT = st.builds(
+    lambda prefix, core, suffix, depth, cut: (
+        prefix * depth + core + suffix * depth
+    )[:cut],
+    st.sampled_from(["λ", "(", "λ(", "(λ", "0 (", "λ0 (", "λ0 ", "λλ1 "]),
+    st.sampled_from(["0", "1", "λ0", "0 0", ""]),
+    st.sampled_from([")", " 0", ""]),
+    st.integers(0, 2000),
+    st.one_of(st.none(), st.integers(0, 10_000)),
+)
 LAMBDA_TEXT = _grammar(["0", "1", "2"], binder=True)
 CALC = st.sampled_from(["sk", "sf"])
 SMALL_BUDGET = st.integers(-2, 20).map(str)
@@ -521,6 +562,9 @@ FUZZ_ARGV = st.one_of(
         LAMBDA_TEXT, CALC, st.sampled_from([[], ["--decode"]]),
     ),
     st.builds(
+        lambda expr, calc: ["lambda", expr, "--calc", calc], DEEP_LAMBDA_TEXT, CALC
+    ),
+    st.builds(
         lambda machine, word: ["tm", "run", machine, word],
         st.sampled_from(["@equality", "@identity"]),
         st.one_of(NOISE, st.text(alphabet="ASFK#", max_size=24)),
@@ -535,7 +579,7 @@ class TestFuzz:
     def test_every_argv_ends_in_a_documented_exit_code(self, argv):
         code, out, err = run(*argv)
         assert code in (EXIT_OK, EXIT_ERROR, EXIT_USAGE, EXIT_BUDGET)
-        assert "Traceback" not in err
+        assert "Traceback" not in err and "recursion depth" not in err
         assert len(out) < 200_000
 
 

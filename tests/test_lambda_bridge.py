@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -63,6 +66,36 @@ class TestParseRender:
         for bad in ("", ")", "(", "(\\0", "x", "\\"):
             with pytest.raises(LambdaParseError):
                 parse_lambda(bad)
+
+    @pytest.mark.parametrize("digit", ["\u00b2", "\u0660", "\uff11"])
+    def test_only_ascii_digits_are_indices(self, digit):
+        # `str.isdigit` also admits superscripts and other scripts' digits.
+        with pytest.raises(LambdaParseError) as info:
+            parse_lambda(f"\\0 {digit}")
+        assert str(info.value) == f"unexpected character {digit!r} (at position 3)"
+
+    def test_results_and_errors_are_pinned(self):
+        # Short strings over the λ-syntax alphabet, most of them malformed:
+        # each result, or each error's class, message and position.
+        rng = random.Random(2014)
+        lines = []
+        for _ in range(4000):
+            text = "".join(rng.choice("λ\\0123 ()x") for _ in range(rng.randint(0, 12)))
+            try:
+                lines.append(f"{text!r} {render_lambda(parse_lambda(text))}")
+            except ValueError as exc:
+                lines.append(f"{text!r} {type(exc).__name__}: {exc}")
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "ccf9ac8f14ffaba3c32659115935138e8854a4b762dad2184d8674e5a84ff6b2"
+
+    def test_deep_text_parses(self):
+        # Parsing, the closedness check and translation use no recursion;
+        # deep λ-terms are compared through their combinator images only.
+        nested = parse_lambda("λ" + "0 (" * 5000 + "0" + ")" * 5000)
+        assert lam_closed(nested) and not lam_closed(nested.body)
+        flat = parse_lambda("λ" + " 0" * 5000)
+        image = bracket_abstract(flat, SK)
+        assert image.size == 3 * 4999 + 5 * 5000 and image.closed
 
     def test_open_terms_parse(self):
         assert parse_lambda("0") == Index(0)

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
-from sfcalc.lambda_bridge import bracket_abstract, church_lambda
+from sfcalc.lambda_bridge import abstract, bracket_abstract, church_lambda
 from sfcalc.models import enumerate_normal_forms, gnum
 from sfcalc.reduction import Status, normalize
-from sfcalc.stdlib import NamedCombinator, abstract, build_catalog, church, lam
+from sfcalc.stdlib import NamedCombinator, build_catalog, church, lam
 from sfcalc.syntax import parse, render
 from sfcalc.terms import App, Calculus, F, K, S, Var, app
 
@@ -63,12 +65,26 @@ class TestCatalogShape:
         for name in ("fix", "eq", "godelize", "eqviacode"):
             assert not sf_catalog[name].has_normal_form
 
+    def test_catalog_bodies_are_pinned(self, sk_catalog, sf_catalog):
+        # Every body's structural hash and size, in catalog order.
+        lines = [
+            f"{entry.calculus.value} {name} {entry.body.h:x} {entry.body.size}"
+            for catalog in (sk_catalog, sf_catalog)
+            for name, entry in catalog.items()
+        ]
+        assert len(lines) == 64
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "310a117c7564824bd906b85e20d492ee718bc108429fa6b88f4fd164641d7600"
+
+
+X, Y = Var("x"), Var("y")
+
 
 class TestAbstraction:
     def test_abstract_eliminates_the_variable(self):
         body = app(Var("x"), S, Var("x"))
         for calc in (SK, SF):
-            image = abstract("x", body, calc)
+            image = abstract("x", body, calc, optimized=True)
             assert "x" not in render(image)
             got = run(App(image, Var("v")), calc)
             assert got == app(Var("v"), S, Var("v"))
@@ -81,6 +97,41 @@ class TestAbstraction:
     def test_lam_accepts_a_single_name(self):
         ident = lam("x", Var("x"), SK)
         assert run(App(ident, S), SK) == S
+
+    @pytest.mark.parametrize("optimized", [False, True])
+    def test_variable_clause(self, optimized):
+        assert abstract("x", X, SK, optimized) == parse("SKK", SK)
+        assert abstract("x", X, SF, optimized) == parse("S(FF)(FF)", SF)
+
+    @pytest.mark.parametrize("optimized", [False, True])
+    def test_other_leaf_clause(self, optimized):
+        assert abstract("x", Y, SK, optimized) == parse("K y", SK)
+        assert abstract("x", F, SF, optimized) == parse("FFF", SF)
+
+    def test_application_clause(self):
+        # The plain set walks every application, closed or not.
+        assert abstract("x", App(Y, X), SK, False) == parse("S(K y)(SKK)", SK)
+        assert abstract("x", App(S, S), SF, False) == parse("S(FFS)(FFS)", SF)
+        assert abstract("x", app(Y, S, X), SK, False) == parse(
+            "S(S(K y)(KS))(SKK)", SK
+        )
+
+    def test_constant_clause(self):
+        assert abstract("x", app(Y, S, Y), SK, True) == parse("K(y S y)", SK)
+        assert abstract("x", App(S, S), SF, True) == parse("FF(SS)", SF)
+
+    def test_eta_clause(self):
+        assert abstract("x", app(Y, S, X), SK, True) == parse("y S", SK)
+        # x occurs in the function part: no eta step.
+        assert abstract("x", App(X, X), SK, True) == parse("S(SKK)(SKK)", SK)
+
+    @pytest.mark.parametrize("optimized", [False, True])
+    def test_shared_nodes_are_abstracted_once(self, optimized):
+        # A DAG of 61 nodes whose tree has 2^61 - 1 nodes.
+        body, want = X, parse("SKK", SK)
+        for _ in range(60):
+            body, want = App(body, body), app(S, want, want)
+        assert abstract("x", body, SK, optimized) == want
 
 
 class TestBooleansAndPairs:
@@ -115,10 +166,8 @@ class TestArithmetic:
 
     @pytest.mark.parametrize("calc", [SK, SF], ids=["sk", "sf"])
     def test_church_is_the_plain_translation_iterated(self, calc):
-        for n in range(12):
+        for n in (*range(12), 1000):
             assert church(n, calc) == bracket_abstract(church_lambda(n), calc), n
-        # A thousand succs: the translation of the 1000-fold lambda term
-        # recurses deeper than the interpreter allows, the iteration not.
         succ = church(1, calc).fun
         big = church(1000, calc)
         assert big.fun == succ and big.arg == church(999, calc)
