@@ -122,19 +122,28 @@ def parse_lambda(text: str) -> LambdaTerm:
 
 
 def render_lambda(t: LambdaTerm) -> str:
-    if isinstance(t, Index):
-        return str(t.n)
-    if isinstance(t, Lam):
-        return "\\" + render_lambda(t.body)
-    fun = render_lambda(t.fun)
-    arg = render_lambda(t.arg)
-    if isinstance(t.fun, Lam):
-        fun = f"({fun})"
-    if isinstance(t.arg, (Lam, LApp)):
-        arg = f"({arg})"
-    elif fun[-1].isdigit():
-        arg = " " + arg
-    return fun + arg
+    """Text that parse_lambda reads back as t: a function that is a
+    binder and an argument that is a binder or an application get
+    parentheses, and a space parts two adjacent indices."""
+    out: list[str] = []
+    stack: list[LambdaTerm | str] = [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, str):
+            out.append(u)
+        elif isinstance(u, Index):
+            # Only an argument index can follow a digit: anything else
+            # starts its text after "(", "\\" or nothing.
+            if out and out[-1][-1].isdigit():
+                out.append(" ")
+            out.append(str(u.n))
+        elif isinstance(u, Lam):
+            out.append("\\")
+            stack.append(u.body)
+        else:
+            stack += [")", u.arg, "("] if isinstance(u.arg, (Lam, LApp)) else [u.arg]
+            stack += [")", u.fun, "("] if isinstance(u.fun, Lam) else [u.fun]
+    return "".join(out)
 
 
 # --- beta-reduction ----------------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from math import ceil, isqrt, log2
-from typing import Callable, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .reduction import Status, normalize
 from .syntax import render
@@ -33,41 +33,79 @@ class ArityError(ValueError):
     applied to the wrong number of arguments."""
 
 
+# Every node compiles itself when it is built.  A node with no PrimRec or
+# Mu inside costs the same on every input and computes one argument plus
+# a constant, or a constant (zero, successor and projections compose into
+# that form), so its code is the summary (cost, j, c): xs[j] + c, or c
+# when j is None.  Any other node's code is a closure run(xs, left) over
+# its parts' closures, where xs is the argument tuple and left a
+# one-element list holding the unspent budget, which each node
+# evaluation charges before it looks at its parts.
+_Run = Callable[[tuple[int, ...], list[int]], int]
+_Code = Union[tuple[int, Optional[int], int], _Run]
+
+
+class _Node:
+    """What a node derives from its parts when it is built."""
+
+    arity: int
+    _code: _Code
+
+    def _derive(self, arity: int, code: _Code) -> None:
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "_code", code)
+
+    def _closure(self) -> _Run:
+        """The node's closure; a summary's charges its whole cost in one
+        budget check."""
+        if not isinstance(self._code, tuple):
+            return self._code
+        cost, j, c = self._code
+
+        def run(xs: tuple[int, ...], left: list[int]) -> int:
+            left[0] -= cost
+            if left[0] < 0:
+                raise _OutOfBudget
+            return c if j is None else xs[j] + c
+
+        return run
+
+
 @dataclass(frozen=True)
-class Zero:
+class Zero(_Node):
     """z(x) = 0 (unary)."""
 
     arity = 1
+    _code = (1, None, 0)
 
 
 @dataclass(frozen=True)
-class Succ:
+class Succ(_Node):
     """s(x) = x + 1 (unary)."""
 
     arity = 1
+    _code = (1, 0, 1)
 
 
 @dataclass(frozen=True)
-class Proj:
+class Proj(_Node):
     """p[i,k](x1, ..., xk) = xi (1-indexed)."""
 
     i: int
     k: int
-    arity: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.i <= self.k:
             raise ArityError(f"projection index {self.i} out of range 1..{self.k}")
-        object.__setattr__(self, "arity", self.k)
+        self._derive(self.k, (1, self.i - 1, 0))
 
 
 @dataclass(frozen=True)
-class Comp:
+class Comp(_Node):
     """Composition: outer(g1(xs), ..., gm(xs)) for inners g1..gm."""
 
     outer: "RecFn"
     inners: tuple["RecFn", ...]
-    arity: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "inners", tuple(self.inners))
@@ -80,11 +118,30 @@ class Comp:
         arities = {g.arity for g in self.inners}
         if len(arities) != 1:
             raise ArityError(f"inner functions disagree on arity: {sorted(arities)}")
-        object.__setattr__(self, "arity", arities.pop())
+        codes = [g._code for g in (self.outer, *self.inners)]
+        if all(isinstance(code, tuple) for code in codes):
+            _, i, c = codes[0]  # type: ignore[misc]
+            _, j, d = (0, None, 0) if i is None else codes[1 + i]  # type: ignore[misc]
+            cost = 1 + sum(code[0] for code in codes)  # type: ignore[index]
+            self._derive(arities.pop(), (cost, j, c + d))
+            return
+        outer = self.outer._closure()
+        gs = tuple(g._closure() for g in self.inners)
+
+        def run(xs: tuple[int, ...], left: list[int]) -> int:
+            left[0] -= 1
+            if left[0] < 0:
+                raise _OutOfBudget
+            ys = []
+            for g in gs:  # a loop, not a comprehension: one frame a level
+                ys.append(g(xs, left))
+            return outer(tuple(ys), left)
+
+        self._derive(arities.pop(), run)
 
 
 @dataclass(frozen=True)
-class PrimRec:
+class PrimRec(_Node):
     """Primitive recursion on the last argument:
 
     f(xs, 0)     = base(xs)
@@ -95,32 +152,53 @@ class PrimRec:
 
     base: "RecFn"
     step: "RecFn"
-    arity: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         k = self.base.arity
         if self.step.arity != k + 2:
             raise ArityError(f"recursion step must be {k + 2}-ary, got {self.step.arity}")
-        object.__setattr__(self, "arity", k + 1)
+        base, step = self.base._closure(), self.step._closure()
+
+        def run(xs: tuple[int, ...], left: list[int]) -> int:
+            left[0] -= 1
+            if left[0] < 0:
+                raise _OutOfBudget
+            head = xs[:-1]
+            acc = base(head, left)
+            for t in range(xs[-1]):
+                acc = step(head + (acc, t), left)
+            return acc
+
+        self._derive(k + 1, run)
 
 
 @dataclass(frozen=True)
-class Mu:
+class Mu(_Node):
     """Minimisation: mu(f)(xs) is the least y with f(xs, y) = 0,
     searching upward from 0.  body is (k+1)-ary, the result k-ary."""
 
     body: "RecFn"
-    arity: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.body.arity < 2:
             raise ArityError("minimised body must be at least binary")
-        object.__setattr__(self, "arity", self.body.arity - 1)
+        body = self.body._closure()
+
+        def run(xs: tuple[int, ...], left: list[int]) -> int:
+            left[0] -= 1
+            if left[0] < 0:
+                raise _OutOfBudget
+            y = 0
+            while body(xs + (y,), left) != 0:
+                y += 1
+            return y
+
+        self._derive(self.body.arity - 1, run)
 
 
-#: A recursive-function expression.  Every node fixes its `arity` when it
-#: is built, from the arities of its parts, and raises ArityError if they
-#: do not fit together.
+#: A recursive-function expression.  Every node fixes its `arity` and
+#: compiles its code when it is built, from its parts' arities and code,
+#: and raises ArityError if the arities do not fit together.
 RecFn = Union[Zero, Succ, Proj, Comp, PrimRec, Mu]
 
 ZERO = Zero()
@@ -142,39 +220,25 @@ class _OutOfBudget(Exception):
 
 def eval_rec(f: RecFn, args: Sequence[int], budget: int = DEFAULT_REC_BUDGET) -> RecOutcome:
     """Evaluate f on args.  Every node evaluation costs one unit of
-    budget; minimisation and deep recursion exhaust it instead of hanging."""
+    budget, so minimisation and deep recursion exhaust it instead of
+    hanging; a budget stop is ("budget", None, budget) wherever it falls.
+
+    f runs as the closures its nodes compiled when they were built (see
+    above): one Python frame per nesting level of PrimRec, Mu and the
+    compositions around them, and none inside a part without PrimRec or
+    Mu.  An evaluation that nests deeper than Python's recursion limit
+    allows (sys.getrecursionlimit(), which counts the caller's frames
+    too) before its budget runs out raises ValueError."""
     if len(args) != f.arity:
         raise ArityError(f"expected {f.arity} arguments, got {len(args)}")
-    remaining = [budget]
-
-    def ev(g: RecFn, xs: list[int]) -> int:
-        if remaining[0] <= 0:
-            raise _OutOfBudget
-        remaining[0] -= 1
-        if isinstance(g, Zero):
-            return 0
-        if isinstance(g, Succ):
-            return xs[0] + 1
-        if isinstance(g, Proj):
-            return xs[g.i - 1]
-        if isinstance(g, Comp):
-            return ev(g.outer, [ev(h, xs) for h in g.inners])
-        if isinstance(g, PrimRec):
-            *head, y = xs
-            acc = ev(g.base, head)
-            for t in range(y):
-                acc = ev(g.step, [*head, acc, t])
-            return acc
-        y = 0
-        while ev(g.body, [*xs, y]) != 0:
-            y += 1
-        return y
-
+    left = [budget]
     try:
-        value = ev(f, list(args))
+        value = f._closure()(tuple(args), left)
     except _OutOfBudget:
         return RecOutcome("budget", None, budget)
-    return RecOutcome("ok", value, budget - remaining[0])
+    except RecursionError:
+        raise ValueError("the program nests too deeply to evaluate") from None
+    return RecOutcome("ok", value, budget - left[0])
 
 
 # --- pairing-based codes of closed operator terms -------------------------------

@@ -97,6 +97,13 @@ class TestParseRender:
         image = bracket_abstract(flat, SK)
         assert image.size == 3 * 4999 + 5 * 5000 and image.closed
 
+    def test_deep_terms_render(self):
+        # Rendering walks an explicit stack; str() of a term goes through it.
+        t = parse_lambda("λ" + "0 (" * 2000 + "0" + ")" * 2000)
+        text = "\\" + "0(" * 1999 + "0 0" + ")" * 1999
+        assert render_lambda(t) == str(t) == text
+        assert render_lambda(parse_lambda(text)) == text
+
     def test_open_terms_parse(self):
         assert parse_lambda("0") == Index(0)
         assert not lam_closed(Index(0))

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import random
+import sys
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,6 +22,7 @@ from sfcalc.models import (
     Mu,
     PrimRec,
     Proj,
+    RecFn,
     RecOutcome,
     build_probe_corpus,
     cantor_pair,
@@ -36,7 +40,9 @@ from sfcalc.models import (
 from sfcalc.syntax import render
 from sfcalc.terms import App, Calculus, F, S, Var, app
 from sfcalc.turing import IDENTITY_MACHINE, parse_machine, turing_model
-from sfcalc.witnesses import SimulationCase, WeakEquivalenceCase, rec_const
+from sfcalc.witnesses import SimulationCase, WeakEquivalenceCase, rec_add, rec_const
+
+from rec_oracle import reference_eval_rec
 
 SK = Calculus.SK
 SF = Calculus.SF
@@ -78,6 +84,23 @@ class TestRecArity:
         # Each of the 5000 nested compositions fixed its arity when it was
         # built, so the evaluator gets to charge its budget.
         assert eval_rec(rec_const(5000, 1), [0], budget=100) == RecOutcome("budget", None, 100)
+
+    def test_five_hundred_nested_compositions_evaluate(self):
+        assert eval_rec(rec_const(500, 1), [0], budget=10_000) == RecOutcome("ok", 500, 1001)
+        # The same depth over a recursion, so that every level is a call.
+        program: RecFn = rec_add
+        for _ in range(500):
+            program = Comp(SUCC, (program,))
+        assert eval_rec(program, [2, 3], budget=10_000) == RecOutcome("ok", 505, 1011)
+
+    def test_nesting_past_the_recursion_limit_raises_value_error(self):
+        program: RecFn = rec_add
+        for _ in range(2 * sys.getrecursionlimit()):
+            program = Comp(SUCC, (program,))
+        with pytest.raises(ValueError, match="nests too deeply"):
+            eval_rec(program, [2, 3], budget=10**9)
+        # A budget that stops the evaluation first still decides it.
+        assert eval_rec(program, [2, 3], budget=100) == RecOutcome("budget", None, 100)
 
 
 class TestEvalRec:
@@ -122,6 +145,74 @@ class TestEvalRec:
         assert out.status == "budget" and out.value is None
         ok = eval_rec(add, [5, 5])
         assert ok.status == "ok" and ok.evals > 3
+
+
+def _random_recfn(rng: random.Random, k: int, depth: int) -> RecFn:
+    """A well-formed k-ary program of nesting depth at most depth."""
+    if depth == 0 or rng.random() < 0.2:
+        proj = Proj(rng.randint(1, k), k)
+        return rng.choice([ZERO, SUCC, proj] if k == 1 else [
+            proj, Comp(SUCC, (proj,)), Comp(ZERO, (proj,))])
+    kind = rng.choice(["comp", "comp", "primrec", "mu"] if k > 1 else ["comp", "mu"])
+    if kind == "comp":
+        m = rng.randint(1, 3)
+        return Comp(_random_recfn(rng, m, depth - 1),
+                    tuple(_random_recfn(rng, k, depth - 1) for _ in range(m)))
+    if kind == "primrec":
+        return PrimRec(_random_recfn(rng, k - 1, depth - 1),
+                       _random_recfn(rng, k + 1, depth - 1))
+    return Mu(_random_recfn(rng, k + 1, depth - 1))
+
+
+class TestEvalRecAgainstOracle:
+    """The compiled closures against the plain recursive interpreter in
+    tests/rec_oracle.py: the whole RecOutcome, evaluation count included,
+    at budgets that stop early, stop late and do not stop."""
+
+    def test_random_programs(self):
+        rng = random.Random(12)
+        stops = oks = 0
+        for _ in range(300):
+            k = rng.randint(1, 3)
+            f = _random_recfn(rng, k, rng.randint(1, 4))
+            args = [rng.randint(0, 3) for _ in range(k)]
+            for budget in (0, 1, 2, 3, 5, 8, 30, 200, 10_000):
+                want = reference_eval_rec(f, args, budget)
+                assert eval_rec(f, args, budget) == want, (f, args, budget)
+            if want.status == "ok":
+                oks += 1
+                # Any larger budget, the budget that just suffices, and
+                # one less.
+                assert eval_rec(f, args, 10**6) == want
+                assert eval_rec(f, args, want.evals) == want
+                assert eval_rec(f, args, want.evals - 1) == RecOutcome(
+                    "budget", None, want.evals - 1)
+            else:
+                stops += 1
+        assert oks > 150 and stops > 50
+
+    def test_witness_programs(self):
+        for f, args in ((rec_add, [4, 7]), (rec_const(20, 2), [1, 1]),
+                        (Mu(rec_add), [0])):
+            want = reference_eval_rec(f, args, 10**6)
+            for budget in range(want.evals + 2):
+                assert eval_rec(f, args, budget) == reference_eval_rec(f, args, budget)
+
+    def test_search_that_never_ends_spends_the_whole_budget(self):
+        never_zero = Mu(Comp(SUCC, (Proj(2, 2),)))
+        want = RecOutcome("budget", None, 10**6)
+        assert reference_eval_rec(never_zero, [0], 10**6) == want
+        assert eval_rec(never_zero, [0], 10**6) == want
+
+
+class TestCompiledLifetime:
+    def test_a_program_dies_with_its_last_reference(self):
+        f = PrimRec(Proj(1, 1), Comp(SUCC, (Proj(2, 3),)))
+        ref = weakref.ref(f)
+        assert eval_rec(f, [2, 3]) == RecOutcome("ok", 5, 11)
+        del f
+        gc.collect()
+        assert ref() is None
 
 
 class TestNumbering:

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
+from sfcalc import models
 from sfcalc.models import cantor_pair, eval_rec, gnum
 from sfcalc.stdlib import build_catalog, church
 from sfcalc.terms import App, Calculus, F, S
@@ -178,3 +180,33 @@ class TestPackagedCases:
         assert len(report.violations) == 9
         assert all(r.verdict == "target-budget" for r in report.rows)
         assert report.rows[0].lhs.startswith("~10^61")
+
+
+class TestRecOutcomePins:
+    def test_every_recursive_outcome_of_the_cases_is_pinned(self, monkeypatch):
+        # Every (case, input, RecOutcome) that the simulation cases, the
+        # recursive weak-equivalence cases and the sf-recursive-equiv
+        # surrogate produce, evaluation counts included.
+        lines: list[str] = []
+        label = ""
+        real = models.eval_rec
+
+        def recording(f, args, budget=models.DEFAULT_REC_BUDGET):
+            out = real(f, args, budget)
+            lines.append(f"{label}\t{list(args)}\t{out}")
+            return out
+
+        monkeypatch.setattr(models, "eval_rec", recording)
+        for label, case in build_simulation_cases().items():
+            for xs in case.inputs:
+                case.source.apply(case.source_program, list(xs))
+        weak = build_weak_equivalence_cases()
+        for label in ("church-code-rec", "number-word-rec"):
+            weak[label].run()
+        label = "sf-recursive-equiv"
+        surrogate = surrogate_code_recfn()
+        for n in range(4):
+            models.eval_rec(surrogate, [n])
+        assert len(lines) == 2 * (3 * 6 + 2 * 36) + 9 + 13 + 4
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "325bcdada01bbff720b5e460a2e09f9c8b716e6e242166b9f0de081d97594149"
