@@ -43,6 +43,7 @@ from .lambda_bridge import LambdaParseError, bracket_abstract, parse_lambda
 from .models import (
     MAX_CODE_DIGITS,
     build_probe_corpus,
+    code_digits,
     enumerate_normal_forms,
     eval_rec,
     gnum,
@@ -208,12 +209,23 @@ def _cmd_eq(args, out, err) -> int:
     return EXIT_OK
 
 
+def _parse_code(text: str) -> int:
+    """int(text), with the int digit limit at MAX_CODE_DIGITS for this
+    parse only."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return int(text)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(MAX_CODE_DIGITS)
+    try:
+        return int(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _cmd_godel(args, out, err) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(MAX_CODE_DIGITS)
     calc = _calc(args)
     if args.decode:
-        term = gterm(int(args.value), calc)
+        term = gterm(_parse_code(args.value), calc)
         if term is None:
             print(f"error: {args.value} codes no term", file=err)
             return EXIT_ERROR
@@ -223,7 +235,7 @@ def _cmd_godel(args, out, err) -> int:
     if not term.closed:
         print("error: only closed terms have a code", file=err)
         return EXIT_ERROR
-    print(gnum(term), file=out)
+    print(code_digits(gnum(term)), file=out)
     return EXIT_OK
 
 

@@ -16,6 +16,7 @@ simulation and weak-equivalence cases in `witnesses` fill in.
 
 from __future__ import annotations
 
+import decimal
 import random
 from dataclasses import dataclass, field
 from math import ceil, isqrt, log2
@@ -293,6 +294,39 @@ def gnum(t: Term) -> int:
             stack.append(u.arg)
             stack.append(u.fun)
     return out[0]
+
+
+#: Codes of at most this many bits are printed by `str`.
+_DIGITS_CHUNK_BITS = 1024
+
+
+def code_digits(n: int) -> str:
+    """str(n) for a code n >= 0, in subquadratic time and under no int
+    digit limit.  CPython 3.11's str(int) is quadratic: 35 s for the
+    1.4M-digit code of 23 S's.  Here n is split by bits and rebuilt in
+    `decimal` at MAX_PREC, whose large products are subquadratic, and
+    printed from there (Brent & Zimmermann, Modern Computer Arithmetic,
+    2010, section 1.7)."""
+    chunk = _DIGITS_CHUNK_BITS
+    if n.bit_length() <= chunk:
+        return str(n)
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        # powers[k] is 2 ** (chunk << k), exactly.
+        powers = [decimal.Decimal(1 << chunk)]
+        while chunk << len(powers) < n.bit_length():
+            powers.append(powers[-1] * powers[-1])
+
+        def build(m: int, k: int) -> decimal.Decimal:
+            # m < 2 ** (chunk << (k + 1))
+            if k < 0:
+                return decimal.Decimal(m)
+            bits = chunk << k
+            hi = build(m >> bits, k - 1)
+            return hi * powers[k] + build(m & ((1 << bits) - 1), k - 1)
+
+        return format(build(n, len(powers) - 1), "f")
 
 
 def gterm(n: int, calc: Calculus) -> Term | None:

@@ -41,7 +41,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .syntax import render_capped
+from .syntax import render_terms
 from .terms import (
     ARITY,
     App,
@@ -389,13 +389,16 @@ def render_trace(steps: Iterable[Step]) -> str:
     """One line per step: "<n> <rule> @ <path> : <redex> => <contractum>",
     the path spelled with L (fun) and R (arg), or ε for the root.  A
     redex or contractum past `syntax.MAX_PRINT_NODES` nodes is shown as
-    its size and hash (`render_capped`)."""
+    its size and hash.  All sides are printed in one `render_terms` call,
+    so a subterm shared between steps (the x, y and z of an S-rule turn
+    up in its redex, its contractum and later steps) is printed once and
+    reused."""
+    steps = tuple(steps)
+    sides = render_terms(t for s in steps for t in (s.redex, s.contractum))
     lines = []
-    for i, s in enumerate(steps, start=1):
+    for i, s in enumerate(steps):
         at = "".join("R" if d else "L" for d in s.path) or "ε"
-        redex = render_capped(s.redex)
-        contractum = render_capped(s.contractum)
-        lines.append(f"{i} {s.rule} @ {at} : {redex} => {contractum}")
+        lines.append(f"{i + 1} {s.rule} @ {at} : {sides[2 * i]} => {sides[2 * i + 1]}")
     return "\n".join(lines)
 
 

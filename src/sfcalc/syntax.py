@@ -12,6 +12,8 @@ word is exactly the Turing-machine tape format.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from .terms import ARITY, App, Atom, Calculus, CalculusError, Term, Var, atom, var
 
 _IDENT_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789_")
@@ -95,6 +97,87 @@ def parse(text: str, calc: Calculus) -> Term:
 # --- printing --------------------------------------------------------------
 
 
+#: The largest term `render_capped` and `render_trace` print in full, in nodes.
+MAX_PRINT_NODES = 100_000
+
+
+def render_terms(terms: Iterable[Term], cap: int | None = MAX_PRINT_NODES) -> list[str]:
+    """The text of each term, as `render` prints it, or for a term of
+    more than `cap` nodes `<term of N nodes, hash H>` (H in hex).
+
+    One memo serves the whole sequence, so shared subterms cost their
+    DAG size, not their tree size.  A first pass finds the applications
+    reached more than once (a root counts as one reference); each of
+    these keeps its text when it is finished, and later visits append
+    that text.  The text of an application is the same wherever it
+    occurs, because it always follows "(" or starts its root's text.
+    """
+    terms = list(terms)
+    # id -> text of each shared application, None until it is finished.
+    memo: dict[int, str | None] = {}
+    seen: set[int] = set()
+    walk = [t for t in terms if t.__class__ is App and (cap is None or t.size <= cap)]
+    while walk:
+        node = walk.pop()
+        key = id(node)
+        if key in seen:
+            memo[key] = None
+            continue
+        seen.add(key)
+        if node.fun.__class__ is App:
+            walk.append(node.fun)
+        if node.arg.__class__ is App:
+            walk.append(node.arg)
+    del seen
+    texts = []
+    for t in terms:
+        if cap is not None and t.size > cap:
+            texts.append(f"<term of {t.size} nodes, hash {t.h:x}>")
+            continue
+        out: list[str] = []
+        last = ""  # the last piece appended to out
+        # Terms to print, literal text, and (key, start) marks that close
+        # a shared application whose text begins at out[start].
+        stack: list = [t]
+        while stack:
+            item = stack.pop()
+            kind = item.__class__
+            if kind is str:
+                out.append(item)
+                last = item
+                continue
+            if kind is tuple:
+                key, start = item
+                text = "".join(out[start:])
+                out[start:] = [text]
+                memo[key] = text
+                continue
+            # Down the spine: stack each argument, then print the head leaf,
+            # or (on break) the finished text of a shared application.
+            while kind is App:
+                key = id(item)
+                if key in memo:
+                    text = memo[key]
+                    if text is not None:
+                        break
+                    stack.append((key, len(out)))
+                if item.arg.__class__ is App:
+                    stack += (")", item.arg, "(")
+                else:
+                    stack.append(item.arg)
+                item = item.fun
+                kind = item.__class__
+            else:
+                # A space only where two identifier tokens would fuse.
+                text = item.name
+                if last and last[-1] in _IDENT_CHARS and text[0] in _IDENT_CHARS:
+                    out.append(" ")
+            out.append(text)
+            last = text
+        texts.append("".join(out))
+    return texts
+
+
 def render(t: Term) -> str:
     """Minimal-parenthesis text; parse(render(t)) reconstructs t.
 
@@ -102,39 +185,13 @@ def render(t: Term) -> str:
     parentheses.  A space is inserted exactly where two adjacent
     identifier tokens would otherwise fuse into one.
     """
-    out: list[str] = []
-    last = ""  # final character emitted so far
-    stack: list[Term | str] = [t]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
-            last = item
-            continue
-        if isinstance(item, App):
-            if isinstance(item.arg, App):
-                stack += [")", item.arg, "(", item.fun]
-            else:
-                stack += [item.arg, item.fun]
-            continue
-        name = item.name
-        if last and last[-1] in _IDENT_CHARS and name[0] in _IDENT_CHARS:
-            out.append(" ")
-        out.append(name)
-        last = name
-    return "".join(out)
-
-
-#: The largest term `render_capped` prints in full, in nodes.
-MAX_PRINT_NODES = 100_000
+    return render_terms((t,), None)[0]
 
 
 def render_capped(t: Term) -> str:
     """render(t), or `<term of N nodes, hash H>` (H in hex) for a term of
     more than MAX_PRINT_NODES nodes, whose text could be gigabytes."""
-    if t.size > MAX_PRINT_NODES:
-        return f"<term of {t.size} nodes, hash {t.h:x}>"
-    return render(t)
+    return render_terms((t,))[0]
 
 
 # --- Polish-notation codec ---------------------------------------------------

@@ -11,6 +11,7 @@ import argparse
 import hashlib
 import io
 import re
+import sys
 import time
 
 import pytest
@@ -26,6 +27,7 @@ from sfcalc.cli import (
     main,
     parse_prelude,
 )
+from sfcalc.models import enumerate_normal_forms
 from sfcalc.reduction import Strategy, normalize
 from sfcalc.syntax import MAX_PRINT_NODES, parse, render
 from sfcalc.terms import App, Calculus, Var, app
@@ -38,6 +40,14 @@ def run(*argv: str) -> tuple[int, str, str]:
 
 
 OMEGA_SK = "S(SKK)(SKK)(S(SKK)(SKK))"
+
+# The SF normal forms of at most two leaves: S, F, SS, SF, FS, FF.
+_SMALL_SF_FORMS = [render(m) for m in enumerate_normal_forms(Calculus.SF, 3)]
+
+# D^16 x with D = S(SKK)(SKK) = λy. y y.
+_DOUBLING_16 = "x"
+for _ in range(16):
+    _DOUBLING_16 = f"S(SKK)(SKK)({_DOUBLING_16})"
 
 
 class TestReduceAndTrace:
@@ -69,10 +79,8 @@ class TestReduceAndTrace:
         # D^16 x with D = S(SKK)(SKK) = λy. y y: applicative order doubles
         # x sixteen times.  The last doubling builds contracta of more
         # than MAX_PRINT_NODES nodes, and two of its steps fire on them.
-        term = "x"
-        for _ in range(16):
-            term = f"S(SKK)(SKK)({term})"
-        code, out, err = run("trace", "--calc", "sk", "--strategy", "applicative", term)
+        argv = ("trace", "--calc", "sk", "--strategy", "applicative", _DOUBLING_16)
+        code, out, err = run(*argv)
         assert (code, err) == (EXIT_OK, "")
         *lines, result = out.splitlines()
         assert len(lines) == 80
@@ -116,6 +124,32 @@ class TestReduceAndTrace:
     def test_trace_of_normal_form_prints_only_the_term(self):
         code, out, err = run("trace", "S")
         assert (code, out, err) == (EXIT_OK, "S\n", "")
+
+    @pytest.mark.parametrize(
+        "argvs, digest",
+        [
+            ([("trace", f"eq ({a}) ({b})") for a in _SMALL_SF_FORMS for b in _SMALL_SF_FORMS],
+             "180b0a30b476c60f0efc8739e737e396b39d3c39144b4e6d513e2f206c863f64"),
+            ([("trace", "--calc", "sk", f"plus c{x} c{y}") for x in range(3) for y in range(3)],
+             "520c0f2f2c14838e5926bab09b4276be91cb8ecbf5ca500d5eafe399a5576667"),
+            ([("trace", "--calc", "sk", f"times c{x} c{y}") for x in range(3) for y in range(3)],
+             "7cfc697e7d1f0bc2d42f067950f5566e7bfb92cccc30c4791749d441aa220f7b"),
+            ([("trace", "--calc", "sk", "S (S kx (K probe2)) (S ky M) (S kz x N)"),
+              ("trace", "S (S ky probe2) (F S kx) (S P Q)")],
+             "0f701bd418d1c536b8db904cd08b2bfcdae352f4920275691ccccd48b24f6b6c"),
+            ([("trace", "--calc", "sk", "--strategy", "applicative", _DOUBLING_16)],
+             "b085766208b07ecfb7851a80565300bb8b3d7b34d833d03ff24fe703b40f92c4"),
+        ],
+        ids=["eq-small-forms", "plus-sk", "times-sk", "open-terms", "past-the-cap"],
+    )
+    def test_trace_output_is_pinned(self, argvs, digest):
+        # Every line of these traces, byte for byte, in argv order.
+        digests = hashlib.sha256()
+        for argv in argvs:
+            code, out, err = run(*argv)
+            assert (code, err) == (EXIT_OK, ""), argv
+            digests.update(out.encode())
+        assert digests.hexdigest() == digest
 
 
 class TestEq:
@@ -185,6 +219,29 @@ class TestGodel:
         _, coded, _ = run("godel", source)
         code, out, err = run("godel", "--decode", coded.strip())
         assert (code, out) == (EXIT_OK, source + "\n")
+
+    def test_int_digit_limit_is_left_as_it_was(self):
+        code9 = run("godel", "c9")[1].strip()
+        assert len(code9) == 62_493  # past the default limit of 4,300 digits
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            assert run("godel", "c9")[:2] == (EXIT_OK, code9 + "\n")
+            assert sys.get_int_max_str_digits() == 4300
+            code, out, err = run("godel", "--decode", code9)
+            assert (code, err) == (EXIT_OK, "")
+            assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(before)
+
+    def test_a_long_code_prints_quickly(self):
+        # 23 S's code to 1,382,413 digits; str() takes about 35 s on them.
+        start = time.perf_counter()
+        code, out, err = run("godel", "S" * 23)
+        assert time.perf_counter() - start < 5.0
+        assert (code, err, len(out)) == (EXIT_OK, "", 1_382_414)
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "5b10e44da36d3797403026f98934689d8b403c315875a5bf6a6285c0ca4ec4bb"
 
     def test_code_past_the_digit_limit_is_refused_quickly(self):
         # eq nests 27 levels deep, and a code's bit length doubles per level.

@@ -27,6 +27,7 @@ from sfcalc.models import (
     build_probe_corpus,
     cantor_pair,
     cantor_unpair,
+    code_digits,
     enumerate_closed_terms,
     enumerate_normal_forms,
     eval_rec,
@@ -265,6 +266,17 @@ class TestNumbering:
             deep = App(deep, deep)
         with pytest.raises(ValueError, match="more than 2,000,000 digits"):
             gnum(deep)
+
+    @pytest.mark.parametrize("bits", [1, 64, 1023, 1024, 1025, 2048, 2049, 4097, 70_000])
+    def test_code_digits_are_str(self, bits):
+        rng = random.Random(bits)
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            for n in (0, rng.getrandbits(bits), (1 << bits) - 1, 1 << bits, 10 ** (bits // 3)):
+                assert code_digits(n) == str(n)
+        finally:
+            sys.set_int_max_str_digits(before)
 
     def test_gterm_rejects_non_codes(self):
         assert gterm(0, SF) is None

@@ -2,17 +2,24 @@
 
 from __future__ import annotations
 
+import random
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
+import render_oracle
 from sfcalc.models import enumerate_closed_terms
 from sfcalc.syntax import (
+    MAX_PRINT_NODES,
     ParseError,
     PolishError,
     from_polish,
     is_well_formed_polish,
     parse,
     render,
+    render_capped,
+    render_terms,
     to_polish,
 )
 from sfcalc.terms import App, Atom, Calculus, CalculusError, F, K, S, Var, app
@@ -86,6 +93,83 @@ class TestRender:
 
     def test_repr_uses_render(self):
         assert repr(app(S, K, K)) == "SKK"
+
+
+# Uppercase one-letter variables, and lowercase ones that need a space
+# between them, so the space rule fires next to memoised text.
+_LEAVES = [S, K, F, Var("M"), Var("N"), Var("x"), Var("kx"), Var("ky"), Var("probe2")]
+
+
+def shared_terms(rng: random.Random, apps: int) -> list:
+    """Leaves and `apps` applications, each of two earlier members (most
+    often recent ones, so terms grow), so later members share subterms."""
+    pool = list(_LEAVES)
+
+    def pick():
+        return rng.choice(pool[-6:] if rng.random() < 0.6 else pool)
+
+    for _ in range(apps):
+        pool.append(App(pick(), pick()))
+    return pool
+
+
+def capped_oracle(t, cap):
+    if cap is not None and t.size > cap:
+        return f"<term of {t.size} nodes, hash {t.h:x}>"
+    return render_oracle.render(t)
+
+
+def tower(depth: int):
+    t = S
+    for _ in range(depth):
+        t = App(t, t)
+    return t
+
+
+class TestSharedRender:
+    """`render_terms` prints each shared subterm once per call; the plain
+    tree walk in `render_oracle` is the reference."""
+
+    @pytest.mark.parametrize("cap", [None, 15, 150])
+    def test_each_root_matches_the_oracle(self, cap):
+        for seed in range(300):
+            rng = random.Random(seed)
+            pool = shared_terms(rng, rng.randrange(1, 40))
+            small = [t for t in pool if t.size <= 2000]  # the oracle walks trees
+            roots = [rng.choice(small[-12:]) for _ in range(rng.randrange(1, 8))]
+            expected = [capped_oracle(t, cap) for t in roots]
+            assert render_terms(roots, cap) == expected, seed
+
+    def test_memoised_text_is_spaced_from_the_next_identifier(self):
+        shared = App(Var("kx"), Var("ky"))
+        roots = [App(shared, Var("kz")), App(Var("probe2"), shared), shared]
+        assert render_terms(roots) == ["kx ky kz", "probe2(kx ky)", "kx ky"]
+
+    def test_a_root_past_the_cap_prints_its_size_and_hash(self):
+        big = tower(17)  # 262,143 nodes
+        small = App(big.fun.fun.fun.fun, Var("x"))  # shares big's subterms
+        texts = render_terms([small, big, small])
+        assert texts[1] == f"<term of {big.size} nodes, hash {big.h:x}>"
+        assert texts[0] == texts[2] == render_oracle.render(small)
+        assert render_capped(big) == texts[1]
+        assert MAX_PRINT_NODES < big.size
+
+    def test_depth_15_tower(self):
+        t = tower(15)
+        text = render(t)
+        assert t.size == 65_535
+        assert text == render_oracle.render(t)
+        assert parse(text, SK) == t
+
+    def test_each_shared_node_is_expanded_once(self):
+        # 8,388,607 nodes as a tree but 23 as a DAG: the tree walk takes
+        # seconds, one expansion per DAG node takes milliseconds.
+        t = tower(22)
+        start = time.perf_counter()
+        text = render(t)
+        assert time.perf_counter() - start < 1.0
+        assert len(text) == 2 ** 22 + 2 * (2 ** 21 - 1)
+        assert text.startswith("SS(SS)(SS(SS))")
 
 
 class TestPolish:
