@@ -16,18 +16,20 @@ Subcommands:
 * tm run: run a Turing machine from a machine file on a word
   (@equality and @identity name the built-in machines).
 * check sim / check weakequiv: run a named empirical check and print its
-  report table.
-* demo: scripted walkthroughs; byte-reproducible output.
+  report table (--tsv for rows), or list the cases (--list, alone).
+* demo NAME: scripted walkthroughs, each with only the options it reads;
+  byte-reproducible output.
 
 Exit codes: 0 success, 1 error or failed check, 2 usage, 3 budget
 exhausted.
 
 Terms on the command line may use the names of the combinator catalog
 (`stdlib.build_catalog`); `--prelude FILE` adds bindings of the form
-`let name = term;` on top.
+`let name = term;` on top (godel and polish: not with --decode).
 
 `main` parses argv with the process's one parser (`build_parser`) and
-calls the handler that the subcommand sets as `run`.
+calls the handler that the subcommand sets as `run`; an option that
+handler does not read is a usage error.
 """
 
 from __future__ import annotations
@@ -39,11 +41,11 @@ import re
 import sys
 from typing import IO, Mapping, Sequence
 
-from .lambda_bridge import LambdaParseError, bracket_abstract, parse_lambda
+from .lambda_bridge import bracket_abstract, parse_lambda
 from .models import (
-    MAX_CODE_DIGITS,
     build_probe_corpus,
     code_digits,
+    code_from_digits,
     enumerate_normal_forms,
     eval_rec,
     gnum,
@@ -59,20 +61,11 @@ from .reduction import (
     render_trace,
 )
 from .stdlib import build_catalog, catalog_terms
-from .syntax import (
-    ParseError,
-    PolishError,
-    from_polish,
-    parse,
-    render,
-    render_capped,
-    to_polish,
-)
-from .terms import Calculus, CalculusError, S, Term, app, free_vars, substitute
+from .syntax import from_polish, parse, render, render_capped, to_polish
+from .terms import Calculus, S, Term, app, free_vars, substitute
 from .turing import (
     EQUALITY_MACHINE,
     IDENTITY_MACHINE,
-    MachineError,
     equality_step_bound,
     parse_machine,
     run_machine,
@@ -92,6 +85,10 @@ EXIT_BUDGET = 3
 
 class PreludeError(ValueError):
     pass
+
+
+class _UsageError(Exception):
+    """An argv the parser or a handler refuses: exit 2, nothing on stdout."""
 
 
 # --- prelude --------------------------------------------------------------------
@@ -204,28 +201,15 @@ def _cmd_eq(args, out, err) -> int:
     elif outcome.term == bindings["false"]:
         print("false", file=out)
     else:
-        print(f"error: unexpected result {render(outcome.term)}", file=err)
+        print(f"error: unexpected result {render_capped(outcome.term)}", file=err)
         return EXIT_ERROR
     return EXIT_OK
-
-
-def _parse_code(text: str) -> int:
-    """int(text), with the int digit limit at MAX_CODE_DIGITS for this
-    parse only."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        return int(text)
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(MAX_CODE_DIGITS)
-    try:
-        return int(text)
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 def _cmd_godel(args, out, err) -> int:
     calc = _calc(args)
     if args.decode:
-        term = gterm(_parse_code(args.value), calc)
+        term = gterm(code_from_digits(args.value), calc)
         if term is None:
             print(f"error: {args.value} codes no term", file=err)
             return EXIT_ERROR
@@ -274,6 +258,10 @@ def _run_report(report, args, out) -> int:
 
 
 def _cmd_check(args, out, err) -> int:
+    if args.list and (args.name or args.tsv):
+        raise _UsageError("--list takes no case name and no --tsv")
+    if not (args.list or args.name):
+        raise _UsageError("give a case name or --list")
     cases = (
         build_simulation_cases()
         if args.kind == "sim"
@@ -283,15 +271,8 @@ def _cmd_check(args, out, err) -> int:
         for name, case in cases.items():
             print(f"{name}: {case.description}", file=out)
         return EXIT_OK
-    if not args.name:
-        print("error: give a case name or --list", file=err)
-        return EXIT_USAGE
     if args.name == "all":
-        code = EXIT_OK
-        for case in cases.values():
-            result = _run_report(case.run(), args, out)
-            code = max(code, result)
-        return code
+        return max(_run_report(case.run(), args, out) for case in cases.values())
     if args.name not in cases:
         known = ", ".join(cases)
         print(f"error: unknown case {args.name!r} (known: {known})", file=err)
@@ -309,7 +290,7 @@ def _show_application(program: Term, probe: Term, calc: Calculus, budget: int) -
     return f"({outcome.status.value})"
 
 
-def _demo_identity_pair(args, out) -> int:
+def _demo_identity_pair(args, out, err) -> int:
     """Two identity programs that no amount of black-box probing can tell
     apart: applied to anything, both return it."""
     calc = _calc(args)
@@ -352,7 +333,7 @@ def _demo_identity_pair(args, out) -> int:
     return EXIT_OK if agree and separated else EXIT_ERROR
 
 
-def _demo_sf_equality(args, out) -> int:
+def _demo_sf_equality(args, out, err) -> int:
     calc = Calculus.SF
     bindings = load_default_prelude(calc)
     left = parse("S(FF)(FF)", calc)
@@ -382,7 +363,7 @@ def _demo_sf_equality(args, out) -> int:
     return EXIT_OK if ok else EXIT_ERROR
 
 
-def _demo_sf_recursive_equiv(args, out) -> int:
+def _demo_sf_recursive_equiv(args, out, err) -> int:
     cases = build_weak_equivalence_cases()
     report = cases["godelize-sf"].run()
     print(report.render(), file=out)
@@ -405,7 +386,7 @@ def _demo_sf_recursive_equiv(args, out) -> int:
     return EXIT_OK if report.ok else EXIT_ERROR
 
 
-def _demo_turing_equality(args, out) -> int:
+def _demo_turing_equality(args, out, err) -> int:
     words = [to_polish(t) for t in enumerate_normal_forms(Calculus.SF, 5)]
     pairs = [
         (words[0], words[0]),
@@ -436,19 +417,6 @@ def _demo_turing_equality(args, out) -> int:
     return exit_code
 
 
-#: Demo name to walkthrough; the keys, in order, are `demo`'s choices.
-_DEMOS = {
-    "skk-sks": _demo_identity_pair,
-    "sf-equality": _demo_sf_equality,
-    "sf-recursive-equiv": _demo_sf_recursive_equiv,
-    "turing-equality": _demo_turing_equality,
-}
-
-
-def _cmd_demo(args, out, err) -> int:
-    return _DEMOS[args.name](args, out)
-
-
 # --- parser ----------------------------------------------------------------------
 
 
@@ -457,29 +425,26 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-class _UsageError(Exception):
-    pass
-
-
 def _add_calc(p: argparse.ArgumentParser) -> None:
     p.add_argument("--calc", choices=("sk", "sf"), default="sf",
                    help="combinator calculus (default sf)")
 
 
-def _add_common(
-    p: argparse.ArgumentParser, strategy: bool = True, budget: bool = True
-) -> None:
-    """--calc and --prelude, with --strategy and --budget where the
-    command reduces."""
+def _add_prelude(p) -> None:  # a parser or an argument group
+    p.add_argument("--prelude", metavar="FILE",
+                   help="extra prelude file of let bindings")
+
+
+def _add_common(p: argparse.ArgumentParser, strategy: bool = True) -> None:
+    """--calc, --budget and --prelude, with --strategy where the command
+    takes one."""
     _add_calc(p)
     if strategy:
         p.add_argument("--strategy", choices=("normal", "applicative"),
                        default="normal", help="reduction strategy")
-    if budget:
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                       help=f"reduction step budget (default {DEFAULT_BUDGET})")
-    p.add_argument("--prelude", metavar="FILE",
-                   help="extra prelude file of let bindings")
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                   help=f"reduction step budget (default {DEFAULT_BUDGET})")
+    _add_prelude(p)
 
 
 @functools.cache
@@ -507,17 +472,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, strategy=False)
     p.set_defaults(run=_cmd_eq)
 
-    p = sub.add_parser("godel", help="code of a closed term (or --decode)")
-    p.add_argument("value")
-    p.add_argument("--decode", action="store_true", help="treat value as a code")
-    _add_common(p, strategy=False, budget=False)
-    p.set_defaults(run=_cmd_godel)
-
-    p = sub.add_parser("polish", help="Polish word of a closed term (or --decode)")
-    p.add_argument("value")
-    p.add_argument("--decode", action="store_true", help="treat value as a word")
-    _add_common(p, strategy=False, budget=False)
-    p.set_defaults(run=_cmd_polish)
+    for name, help_, noun, handler in (
+        ("godel", "code of a closed term", "code", _cmd_godel),
+        ("polish", "Polish word of a closed term", "word", _cmd_polish),
+    ):
+        p = sub.add_parser(name, help=f"{help_} (or --decode)")
+        p.add_argument("value")
+        _add_calc(p)
+        decode_or_prelude = p.add_mutually_exclusive_group()
+        decode_or_prelude.add_argument("--decode", action="store_true",
+                                       help=f"treat value as a {noun}")
+        _add_prelude(decode_or_prelude)
+        p.set_defaults(run=handler)
 
     p = sub.add_parser("lambda", help="translate a de Bruijn lambda term")
     p.add_argument("expr")
@@ -540,12 +506,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_check)
 
     p = sub.add_parser("demo", help="scripted walkthroughs")
-    p.add_argument("name", choices=tuple(_DEMOS))
-    p.add_argument("--calc", choices=("sk", "sf"), default="sk",
-                   help="calculus for skk-sks (default sk)")
-    p.add_argument("--seed", type=int, default=0, help="probe corpus seed")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.set_defaults(run=_cmd_demo)
+    demos = p.add_subparsers(dest="name", required=True)
+    skk = demos.add_parser("skk-sks", help="SKK and SKS: alike on probes, not to SF eq")
+    skk.add_argument("--calc", choices=("sk", "sf"), default="sk",
+                     help="calculus of the probes (default sk)")
+    skk.set_defaults(run=_demo_identity_pair)
+    sfeq = demos.add_parser("sf-equality", help="SF eq on extensionally equal terms")
+    sfeq.set_defaults(run=_demo_sf_equality)
+    for d in (skk, sfeq):  # the demos that probe with a term corpus
+        d.add_argument("--seed", type=int, default=0, help="probe corpus seed")
+        d.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    d = demos.add_parser("sf-recursive-equiv", help="godelize, and the magnitude wall")
+    d.set_defaults(run=_demo_sf_recursive_equiv)
+    d = demos.add_parser("turing-equality", help="the word-equality Turing machine")
+    d.set_defaults(run=_demo_turing_equality)
 
     return parser
 
@@ -564,14 +538,11 @@ def main(
                 args = parser.parse_args(argv)
             except SystemExit as exc:  # --help
                 return int(exc.code or 0)
+        return args.run(args, out, err)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=err)
         return EXIT_USAGE
-    try:
-        return args.run(args, out, err)
-    except (ParseError, PolishError, CalculusError, LambdaParseError,
-            MachineError, PreludeError, OSError, ValueError,
-            RecursionError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_ERROR
 

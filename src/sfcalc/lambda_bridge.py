@@ -58,9 +58,9 @@ class LApp:
 LambdaTerm = Union[Index, Lam, LApp]
 
 
-def lam_closed(t: LambdaTerm, depth: int = 0) -> bool:
+def lam_closed(t: LambdaTerm) -> bool:
     """Closed iff every Index n sits under more than n enclosing Lams."""
-    stack = [(t, depth)]
+    stack = [(t, 0)]
     while stack:
         u, d = stack.pop()
         if isinstance(u, Lam):

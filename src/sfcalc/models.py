@@ -329,6 +329,28 @@ def code_digits(n: int) -> str:
         return format(build(n, len(powers) - 1), "f")
 
 
+#: CPython's default int digit limit.
+_INT_DIGITS = 4300
+
+
+def code_from_digits(text: str) -> int:
+    """int(text) for a code, under the default int digit limit and in
+    subquadratic time (CPython 3.11's int(str) is quadratic: 5 s for the
+    691,207 digits of 22 S's).  Text of up to 4,300 characters goes to
+    `int` as it is; longer text must be at most MAX_CODE_DIGITS ASCII
+    digits, and is parsed by halves joined with an int product."""
+    if len(text) <= _INT_DIGITS:
+        return int(text)
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(
+            f"a code of more than {_INT_DIGITS:,} characters must be ASCII digits"
+        )
+    if len(text) > MAX_CODE_DIGITS:
+        raise ValueError(f"the code has more than {MAX_CODE_DIGITS:,} digits")
+    low = len(text) // 2
+    return code_from_digits(text[:-low]) * 10**low + code_from_digits(text[-low:])
+
+
 def gterm(n: int, calc: Calculus) -> Term | None:
     """The term coded by n, or None when n codes nothing (n < 1, or a
     pair component is 0)."""

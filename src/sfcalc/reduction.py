@@ -347,10 +347,13 @@ def _blocked_f_positions(t: Term) -> bool:
     argument (the stuck shape).  Only possible in open terms."""
     if t.closed or not t.ops & _F_BIT:
         return False
+    # Walk the DAG, not the tree: results can share subterms heavily.
+    seen: set[int] = set()
     stack = [t]
     while stack:
         u = stack.pop()
-        if isinstance(u, App):
+        if isinstance(u, App) and id(u) not in seen:
+            seen.add(id(u))
             if u.head == "F" and u.nargs == 3 and u.fun.fun.arg.head is None:
                 return True
             stack.append(u.fun)

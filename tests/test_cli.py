@@ -23,6 +23,7 @@ from sfcalc.cli import (
     EXIT_OK,
     EXIT_USAGE,
     PreludeError,
+    build_parser,
     load_default_prelude,
     main,
     parse_prelude,
@@ -93,6 +94,23 @@ class TestReduceAndTrace:
         # 2 * letters - 1 nodes.
         printed = [2 * sum(map(str.isalpha, s)) - 1 for s, m in zip(sides, elided) if not m]
         assert max(printed) <= MAX_PRINT_NODES
+
+    @pytest.mark.parametrize("core, out, err", [
+        ("F x", "<term of 6597069766653 nodes, hash 9c090200fb6792c>\n", ""),
+        ("F x y z", "<term of 10995116277757 nodes, hash d4e9a200fb6792c>\n",
+         "stuck (varheaded-f) after 120 steps\n"),
+    ], ids=["normal", "stuck"])
+    def test_stuck_check_walks_a_shared_result_once(self, core, out, err):
+        # P = SS(S(FF)(FF)) is λz. z z.  P (P (… core)), 40 deep, reduces
+        # in 120 applicative steps to a term that shares every level; as a
+        # tree it has trillions of nodes.
+        term = core
+        for _ in range(40):
+            term = f"SS(S(FF)(FF))({term})"
+        start = time.perf_counter()
+        result = run("reduce", "--strategy", "applicative", term)
+        assert time.perf_counter() - start < 1.0
+        assert result == (EXIT_OK, out, err)
 
     def test_reduce_stuck_note_on_stderr(self):
         # F applied to a variable cannot be classified, so reduction stops.
@@ -242,6 +260,11 @@ class TestGodel:
         assert (code, err, len(out)) == (EXIT_OK, "", 1_382_414)
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == "5b10e44da36d3797403026f98934689d8b403c315875a5bf6a6285c0ca4ec4bb"
+
+    def test_decode_past_the_digit_limit_fails(self):
+        code, out, err = run("godel", "--decode", "1" * 2_000_001)
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == "error: the code has more than 2,000,000 digits\n"
 
     def test_code_past_the_digit_limit_is_refused_quickly(self):
         # eq nests 27 levels deep, and a code's bit length doubles per level.
@@ -515,6 +538,61 @@ class TestSharedTables:
         assert built == []
 
 
+# Each form of each leaf command: an argv, and the options it takes, as
+# README.md's "Common flags" lists them.  Every other option the parser
+# defines is a usage error in that form.
+_FORMS = {
+    "reduce": (("reduce", "S"), {"--calc", "--prelude", "--budget", "--strategy"}),
+    "trace": (("trace", "S"), {"--calc", "--prelude", "--budget", "--strategy"}),
+    "eq": (("eq", "S", "S"), {"--calc", "--prelude", "--budget", "--via-code"}),
+    "godel": (("godel", "S"), {"--calc", "--prelude", "--decode"}),
+    "godel-decode": (("godel", "--decode", "7"), {"--calc", "--decode"}),
+    "polish": (("polish", "S"), {"--calc", "--prelude", "--decode"}),
+    "polish-decode": (("polish", "--decode", "S"), {"--calc", "--decode"}),
+    "lambda": (("lambda", "λ0"), {"--calc"}),
+    "tm-run": (("tm", "run", "@identity", "A"), {"--budget"}),
+    "check": (("check", "sim", "plus-sf"), {"--tsv"}),
+    "check-list": (("check", "sim", "--list"), {"--list"}),
+    "demo-skk-sks": (("demo", "skk-sks"), {"--calc", "--seed", "--budget"}),
+    "demo-sf-equality": (("demo", "sf-equality"), {"--seed", "--budget"}),
+    "demo-sf-recursive-equiv": (("demo", "sf-recursive-equiv"), set()),
+    "demo-turing-equality": (("demo", "turing-equality"), set()),
+}
+# Every option the parser defines, with a value for those that take one.
+_OPTION_VALUES = {
+    "--calc": "sk", "--strategy": "normal", "--budget": "5", "--prelude": "extra.sf",
+    "--seed": "1", "--via-code": None, "--decode": None, "--list": None, "--tsv": None,
+}
+
+
+def _option_argv(option: str) -> list[str]:
+    value = _OPTION_VALUES[option]
+    return [option] if value is None else [option, value]
+
+
+def _pairs(accepted: bool) -> list:
+    return [
+        pytest.param(form, option, id=f"{form}-{option[2:]}")
+        for form, (_, takes) in _FORMS.items()
+        for option in _OPTION_VALUES
+        if (option in takes) == accepted
+    ]
+
+
+_ACCEPTED_PAIRS = _pairs(True)
+_REJECTED_PAIRS = _pairs(False)
+
+
+def _leaf_parsers(parser, words=()):
+    """(command words, parser) for each subcommand that has a handler."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _leaf_parsers(sub, (*words, name))
+            return
+    yield words, parser
+
+
 class TestUsage:
     def test_no_arguments(self):
         code, out, err = run()
@@ -532,20 +610,32 @@ class TestUsage:
         assert code == EXIT_OK
         assert "usage" in out
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("godel", "S", "--budget", "5"),
-            ("polish", "S", "--budget", "5"),
-            ("lambda", "λ0", "--budget", "5"),
-            ("lambda", "λ0", "--prelude", "extra.sf"),
-        ],
-        ids=["godel-budget", "polish-budget", "lambda-budget", "lambda-prelude"],
-    )
-    def test_option_the_command_does_not_use_is_rejected(self, argv):
-        code, out, err = run(*argv)
+    @pytest.mark.parametrize("form, option", _REJECTED_PAIRS)
+    def test_option_the_command_does_not_use_is_rejected(self, form, option):
+        code, out, err = run(*_FORMS[form][0], *_option_argv(option))
         assert (code, out) == (EXIT_USAGE, "")
         assert "usage error" in err
+
+    @pytest.mark.parametrize("form, option", _ACCEPTED_PAIRS)
+    def test_option_the_command_uses_is_accepted(self, form, option):
+        # Parsed only, so that no walkthrough or check runs.
+        args = build_parser().parse_args([*_FORMS[form][0], *_option_argv(option)])
+        assert getattr(args, option[2:].replace("-", "_")) not in (None, False)
+
+    def test_the_option_table_covers_the_parser(self):
+        leaves = dict(_leaf_parsers(build_parser()))
+        defined = {
+            option
+            for leaf in leaves.values()
+            for action in leaf._actions
+            for option in action.option_strings
+        }
+        assert defined - {"-h", "--help"} == set(_OPTION_VALUES)
+        covered = {
+            words for words in leaves
+            for argv, _ in _FORMS.values() if argv[:len(words)] == words
+        }
+        assert covered == set(leaves)
 
 
 # Fuzzed command lines.  `check` and `demo` take seconds each, and budgets

@@ -6,6 +6,7 @@ import gc
 import hashlib
 import random
 import sys
+import time
 import weakref
 
 import pytest
@@ -28,6 +29,7 @@ from sfcalc.models import (
     cantor_pair,
     cantor_unpair,
     code_digits,
+    code_from_digits,
     enumerate_closed_terms,
     enumerate_normal_forms,
     eval_rec,
@@ -277,6 +279,57 @@ class TestNumbering:
                 assert code_digits(n) == str(n)
         finally:
             sys.set_int_max_str_digits(before)
+
+    @pytest.mark.parametrize(
+        "length", [1, 4300, 4301, 8600, 8601, 8602, 17_203, 70_000]
+    )
+    def test_code_from_digits_is_int(self, length):
+        rng = random.Random(length)
+        texts = [
+            "".join(rng.choice("0123456789") for _ in range(length)),
+            "9" * length,
+            "0" * (length - 1) + "1",
+        ]
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = [int(text) for text in texts]
+        finally:
+            sys.set_int_max_str_digits(before)
+        sys.set_int_max_str_digits(4300)  # the default limit
+        try:
+            assert [code_from_digits(text) for text in texts] == expected
+        finally:
+            sys.set_int_max_str_digits(before)
+
+    @pytest.mark.parametrize("text", [" 7 ", "1_000", "-5", "+12", "\u0663", "x"])
+    def test_short_code_text_is_read_as_int_reads_it(self, text):
+        try:
+            expected = int(text)
+        except ValueError:
+            with pytest.raises(ValueError):
+                code_from_digits(text)
+        else:
+            assert code_from_digits(text) == expected
+
+    @pytest.mark.parametrize("text, match", [
+        (" " + "1" * 4300, "must be ASCII digits"),
+        ("1" * 4300 + "_1", "must be ASCII digits"),
+        ("\u0663" * 4301, "must be ASCII digits"),
+        ("1" * (MAX_CODE_DIGITS + 1), "more than 2,000,000 digits"),
+    ], ids=["space", "underscore", "non-ascii", "too-long"])
+    def test_long_code_text_must_be_ascii_digits(self, text, match):
+        with pytest.raises(ValueError, match=match):
+            code_from_digits(text)
+
+    def test_a_long_code_parses_quickly(self):
+        # 691,207 digits, as many as the code of 22 S's; int() takes
+        # about 4 s on them, halving about 0.8 s.
+        text = "".join(random.Random(22).choice("0123456789") for _ in range(691_207))
+        start = time.perf_counter()
+        value = code_from_digits(text)
+        assert time.perf_counter() - start < 2.5
+        assert code_digits(value) == text.lstrip("0")
 
     def test_gterm_rejects_non_codes(self):
         assert gterm(0, SF) is None
