@@ -41,7 +41,9 @@ class ArityError(ValueError):
 # when j is None.  Any other node's code is a closure run(xs, left) over
 # its parts' closures, where xs is the argument tuple and left a
 # one-element list holding the unspent budget, which each node
-# evaluation charges before it looks at its parts.
+# evaluation charges before it looks at its parts.  A PrimRec whose step
+# is a summary is charged and computed in one step: y turns cost
+# y * cost, charged in one check, and their result has a closed form.
 _Run = Callable[[tuple[int, ...], list[int]], int]
 _Code = Union[tuple[int, Optional[int], int], _Run]
 
@@ -159,16 +161,28 @@ class PrimRec(_Node):
         if self.step.arity != k + 2:
             raise ArityError(f"recursion step must be {k + 2}-ary, got {self.step.arity}")
         base, step = self.base._closure(), self.step._closure()
+        summary = self.step._code if isinstance(self.step._code, tuple) else None
 
         def run(xs: tuple[int, ...], left: list[int]) -> int:
             left[0] -= 1
             if left[0] < 0:
                 raise _OutOfBudget
-            head = xs[:-1]
+            head, y = xs[:-1], xs[-1]
             acc = base(head, left)
-            for t in range(xs[-1]):
-                acc = step(head + (acc, t), left)
-            return acc
+            if summary is None or y == 0:
+                for t in range(y):
+                    acc = step(head + (acc, t), left)
+                return acc
+            # y turns of a summary step (head, acc, t)[j] + c: the
+            # accumulator gains c a turn, any other source is read once,
+            # on the last turn (t = y - 1).
+            cost, j, c = summary
+            left[0] -= y * cost
+            if left[0] < 0:
+                raise _OutOfBudget
+            if j == k:
+                return acc + y * c
+            return c if j is None else (head + (acc, y - 1))[j] + c
 
         self._derive(k + 1, run)
 

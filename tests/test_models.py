@@ -167,6 +167,23 @@ def _random_recfn(rng: random.Random, k: int, depth: int) -> RecFn:
     return Mu(_random_recfn(rng, k + 1, depth - 1))
 
 
+#: Programs whose PrimRec step has no PrimRec or Mu inside, so that it
+#: compiles to a summary xs[j] + c or c; one or more for each source of
+#: the value: the accumulator, a head argument, the counter or none.
+_SUMMARY_SHAPES: list[RecFn] = [
+    PrimRec(Proj(1, 1), Comp(SUCC, (Proj(2, 3),))),  # acc + 1: add
+    PrimRec(Proj(1, 1), Proj(2, 3)),  # acc
+    PrimRec(Proj(2, 2), Comp(SUCC, (Comp(SUCC, (Proj(3, 4),)),))),  # acc + 2
+    PrimRec(rec_add, Comp(SUCC, (Proj(3, 4),))),  # acc + 1 over a looping base
+    PrimRec(SUCC, Comp(SUCC, (Proj(1, 3),))),  # head + 1
+    PrimRec(rec_add, Proj(2, 4)),  # head
+    PrimRec(ZERO, Proj(3, 3)),  # counter: pred
+    PrimRec(Proj(1, 1), Comp(SUCC, (Comp(SUCC, (Proj(3, 3),)),))),  # counter + 2
+    PrimRec(Proj(1, 1), Comp(ZERO, (Proj(1, 3),))),  # 0
+    PrimRec(ZERO, rec_const(3, 3)),  # 3
+]
+
+
 class TestEvalRecAgainstOracle:
     """The compiled closures against the plain recursive interpreter in
     tests/rec_oracle.py: the whole RecOutcome, evaluation count included,
@@ -206,6 +223,36 @@ class TestEvalRecAgainstOracle:
         want = RecOutcome("budget", None, 10**6)
         assert reference_eval_rec(never_zero, [0], 10**6) == want
         assert eval_rec(never_zero, [0], 10**6) == want
+
+    @pytest.mark.parametrize("f", _SUMMARY_SHAPES, ids=repr)
+    def test_loops_over_a_summary(self, f):
+        # Recursion arguments up to 200, and a budget sweep through the
+        # whole evaluation, so that stops land inside the block of turns
+        # that is charged at once.
+        for head in (0, 5):
+            for y in (0, 1, 2, 7, 40, 199, 200):
+                args = [head] * (f.arity - 1) + [y]
+                want = reference_eval_rec(f, args, 10_000)
+                budgets = {0, 1, 2, 3, 10, 100, 10_000}
+                if want.status == "ok":
+                    budgets |= {want.evals - 1, want.evals}
+                if y == 40:
+                    budgets |= set(range(want.evals + 2))
+                for budget in sorted(budgets):
+                    assert eval_rec(f, args, budget) == reference_eval_rec(
+                        f, args, budget), (f, args, budget)
+
+
+class TestClosedForms:
+    """Recursion over a fixed-cost step takes no time per turn.  This
+    would run for hours one turn at a time, so a lost closed form shows
+    up as a hang."""
+
+    def test_addition_of_a_huge_number(self):
+        n = 10**12
+        assert eval_rec(rec_add, [0, n], budget=10**13) == RecOutcome("ok", n, 3 * n + 2)
+        assert eval_rec(rec_add, [0, n], budget=3 * n + 1) == RecOutcome(
+            "budget", None, 3 * n + 1)
 
 
 class TestCompiledLifetime:
