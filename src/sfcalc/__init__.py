@@ -63,7 +63,6 @@ from .syntax import (
     ParseError,
     PolishError,
     from_polish,
-    is_well_formed_polish,
     parse,
     render,
     to_polish,

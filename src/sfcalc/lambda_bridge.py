@@ -30,29 +30,27 @@ from .terms import App, Calculus, F, K, S, Term, Var
 # --- lambda terms ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Index:
+class _LambdaNode:
+    """The repr of a λ-term is its text."""
+
+    def __repr__(self) -> str:
+        return render_lambda(self)  # type: ignore[arg-type]
+
+
+@dataclass(frozen=True, repr=False)
+class Index(_LambdaNode):
     n: int
 
-    def __repr__(self) -> str:
-        return render_lambda(self)
 
-
-@dataclass(frozen=True)
-class Lam:
+@dataclass(frozen=True, repr=False)
+class Lam(_LambdaNode):
     body: "LambdaTerm"
 
-    def __repr__(self) -> str:
-        return render_lambda(self)
 
-
-@dataclass(frozen=True)
-class LApp:
+@dataclass(frozen=True, repr=False)
+class LApp(_LambdaNode):
     fun: "LambdaTerm"
     arg: "LambdaTerm"
-
-    def __repr__(self) -> str:
-        return render_lambda(self)
 
 
 LambdaTerm = Union[Index, Lam, LApp]

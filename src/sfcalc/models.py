@@ -48,6 +48,17 @@ _Run = Callable[[tuple[int, ...], list[int]], int]
 _Code = Union[tuple[int, Optional[int], int], _Run]
 
 
+class _OutOfBudget(Exception):
+    pass
+
+
+def _charge(left: list[int], cost: int) -> None:
+    """Spend cost from the unspent budget left[0]; overdrawing stops."""
+    left[0] -= cost
+    if left[0] < 0:
+        raise _OutOfBudget
+
+
 class _Node:
     """What a node derives from its parts when it is built."""
 
@@ -66,9 +77,7 @@ class _Node:
         cost, j, c = self._code
 
         def run(xs: tuple[int, ...], left: list[int]) -> int:
-            left[0] -= cost
-            if left[0] < 0:
-                raise _OutOfBudget
+            _charge(left, cost)
             return c if j is None else xs[j] + c
 
         return run
@@ -132,9 +141,7 @@ class Comp(_Node):
         gs = tuple(g._closure() for g in self.inners)
 
         def run(xs: tuple[int, ...], left: list[int]) -> int:
-            left[0] -= 1
-            if left[0] < 0:
-                raise _OutOfBudget
+            _charge(left, 1)
             ys = []
             for g in gs:  # a loop, not a comprehension: one frame a level
                 ys.append(g(xs, left))
@@ -164,9 +171,7 @@ class PrimRec(_Node):
         summary = self.step._code if isinstance(self.step._code, tuple) else None
 
         def run(xs: tuple[int, ...], left: list[int]) -> int:
-            left[0] -= 1
-            if left[0] < 0:
-                raise _OutOfBudget
+            _charge(left, 1)
             head, y = xs[:-1], xs[-1]
             acc = base(head, left)
             if summary is None or y == 0:
@@ -177,9 +182,7 @@ class PrimRec(_Node):
             # accumulator gains c a turn, any other source is read once,
             # on the last turn (t = y - 1).
             cost, j, c = summary
-            left[0] -= y * cost
-            if left[0] < 0:
-                raise _OutOfBudget
+            _charge(left, y * cost)
             if j == k:
                 return acc + y * c
             return c if j is None else (head + (acc, y - 1))[j] + c
@@ -200,9 +203,7 @@ class Mu(_Node):
         body = self.body._closure()
 
         def run(xs: tuple[int, ...], left: list[int]) -> int:
-            left[0] -= 1
-            if left[0] < 0:
-                raise _OutOfBudget
+            _charge(left, 1)
             y = 0
             while body(xs + (y,), left) != 0:
                 y += 1
@@ -227,10 +228,6 @@ class RecOutcome:
     status: str  # "ok" | "budget"
     value: int | None
     evals: int
-
-
-class _OutOfBudget(Exception):
-    pass
 
 
 def eval_rec(f: RecFn, args: Sequence[int], budget: int = DEFAULT_REC_BUDGET) -> RecOutcome:
@@ -282,20 +279,25 @@ def gnum(t: Term) -> int:
     cantor_pair(a, b) + 3.  Codes of applications start at 7, so 1 and 2
     are the only atom codes and 0 codes nothing.  Bit lengths double at
     every level of nesting, so this raises ValueError, before
-    multiplying, once a code is certain to pass MAX_CODE_DIGITS digits."""
+    multiplying, once the code of t is certain to pass MAX_CODE_DIGITS
+    digits, counting every application still open above the pair."""
     if not t.closed:
         raise ValueError("only closed terms have a code")
     out: list[int] = []
     stack: list[Term | None] = [t]
+    pending = 0  # the None markers on the stack: applications still open
     while stack:
         u = stack.pop()
         if u is None:
+            pending -= 1
             b = out.pop()
             a = out.pop()
-            # cantor_pair(a, b) > max(a, b)**2 / 2 >= 2**(2 * bits - 3), and
-            # a pending parent (the stack is not empty) squares it again.
+            # cantor_pair(a, b) > max(a, b)**2 / 2 >= 2**floor, and each
+            # pending ancestor takes a code >= 2**f to one >= 2**(2f - 1),
+            # so the root's code is >= 2**((floor - 1) * 2**pending + 1),
+            # and this test says that exponent reaches _MAX_CODE_BITS.
             floor = 2 * max(a, b).bit_length() - 3
-            if (2 * floor - 1 if stack else floor) >= _MAX_CODE_BITS:
+            if floor - 1 > (_MAX_CODE_BITS - 2) >> pending:
                 raise ValueError(
                     f"the code has more than {MAX_CODE_DIGITS:,} digits"
                 )
@@ -304,6 +306,7 @@ def gnum(t: Term) -> int:
             out.append(1 if u.name == "S" else 2)
         else:
             assert isinstance(u, App)
+            pending += 1
             stack.append(None)
             stack.append(u.arg)
             stack.append(u.fun)

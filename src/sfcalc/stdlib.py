@@ -120,11 +120,9 @@ def build_catalog(calc: Calculus) -> Mapping[str, NamedCombinator]:
         church(1, calc).fun,
         "succ applied to numeral n is literally numeral n+1",
     )
-    nums = [c0]
-    for v in range(1, 10):
-        nums.append(define(f"c{v}", App(succ, nums[-1]), f"Church numeral {v}"))
-    c1, c2, c3 = nums[1], nums[2], nums[3]
-    assert nums[1] == church(1, calc) and nums[2] == church(2, calc)
+    c1, c2, c3 = [
+        define(f"c{v}", church(v, calc), f"Church numeral {v}") for v in range(1, 10)
+    ][:3]
     plus = define(
         "plus",
         L("mn", app(m, succ, app(n, succ, c0))),

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .terms import ARITY, App, Atom, Calculus, CalculusError, Term, Var, atom, var
+from .terms import ARITY, App, Atom, Calculus, CalculusError, Term, atom, var
 
 _IDENT_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789_")
 
@@ -215,42 +215,26 @@ def to_polish(t: Term) -> str:
     return "".join(out)
 
 
-def is_well_formed_polish(word: str, calc: Calculus) -> bool:
-    """Counter law: start at 1; A adds 1, an operator letter subtracts 1;
-    the counter must stay positive and reach 0 exactly at the last letter."""
-    if not word:
-        return False
-    counter = 1
-    for i, ch in enumerate(word):
-        if ch == "A":
-            counter += 1
-        elif ch in calc.operators:
-            counter -= 1
-        else:
-            return False
-        if counter == 0:
-            return i == len(word) - 1
-        if counter < 0:
-            return False
-    return False
-
-
 def from_polish(word: str, calc: Calculus) -> Term:
-    """Inverse of to_polish; raises PolishError on ill-formed words."""
+    """Inverse of to_polish; raises PolishError on ill-formed words.  The
+    decoder is the well-formedness check: right to left, an A needs two
+    terms on the stack, an operator letter pushes its atom, any other
+    letter fails, and exactly one term must remain."""
     for ch in word:
         if ch != "A" and ch in ARITY and ch not in calc.operators:
             raise CalculusError(
                 f"operator {ch} is illegal in {calc.name}-calculus"
             )
-    if not is_well_formed_polish(word, calc):
-        raise PolishError(f"ill-formed Polish word {word!r}")
     stack: list[Term] = []
     for ch in reversed(word):
-        if ch == "A":
-            fun = stack.pop()
-            arg = stack.pop()
-            stack.append(App(fun, arg))
-        else:
+        if ch in calc.operators:
             stack.append(atom(ch))
-    assert len(stack) == 1
-    return stack[0]
+        elif ch == "A" and len(stack) > 1:
+            fun = stack.pop()
+            stack[-1] = App(fun, stack[-1])
+        else:
+            break
+    else:
+        if len(stack) == 1:
+            return stack[0]
+    raise PolishError(f"ill-formed Polish word {word!r}")

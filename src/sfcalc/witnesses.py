@@ -16,8 +16,10 @@ roughly square with each successor.  See `church_code_recfn` and
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 from .models import (
     Comp,
@@ -100,6 +102,13 @@ def rec_code_of(t: Term, k: int) -> RecFn:
     return Comp(rec_paircode, (rec_code_of(t.fun, k), rec_code_of(t.arg, k)))
 
 
+def _code_recurrence(zero: RecFn, scaffold: RecFn) -> RecFn:
+    """The unary f with f(0) = z and f(n + 1) = paircode(s, f(n)), where
+    z and s are the values of the constant functions zero (unary) and
+    scaffold (ternary)."""
+    return _diag(PrimRec(zero, Comp(rec_paircode, (scaffold, Proj(2, 3)))))
+
+
 def church_code_recfn() -> RecFn:
     """The recursive function sending n to the code of the SF Church
     numeral for n.  Numeral n+1 is literally the successor scaffold
@@ -112,13 +121,10 @@ def church_code_recfn() -> RecFn:
     is reached by single successor steps, so evaluating this function is
     far beyond any practical budget; `church_code_oracle` computes the
     same values directly."""
-    zero_numeral = church(0, Calculus.SF)
-    scaffold = church(1, Calculus.SF).fun
-    cc2 = PrimRec(
-        rec_code_of(zero_numeral, 1),
-        Comp(rec_paircode, (rec_code_of(scaffold, 3), Proj(2, 3))),
+    return _code_recurrence(
+        rec_code_of(church(0, Calculus.SF), 1),
+        rec_code_of(church(1, Calculus.SF).fun, 3),
     )
-    return _diag(cc2)
 
 
 def church_code_oracle(n: int) -> int:
@@ -127,14 +133,10 @@ def church_code_oracle(n: int) -> int:
 
 
 def surrogate_code_recfn() -> RecFn:
-    """The same recurrence shape as church_code_recfn with the constants
+    """The same recurrence as church_code_recfn with the constants
     shrunk to the atom codes 1 and 2, small enough to evaluate:
     f(0) = 1, f(n + 1) = paircode(2, f(n))."""
-    cc2 = PrimRec(
-        rec_const(1, 1),
-        Comp(rec_paircode, (rec_const(2, 3), Proj(2, 3))),
-    )
-    return _diag(cc2)
+    return _code_recurrence(rec_const(1, 1), rec_const(2, 3))
 
 
 # --- word/number codecs ----------------------------------------------------------
@@ -244,9 +246,11 @@ class WeakEquivalenceCase:
         return report
 
 
-def build_simulation_cases() -> dict[str, SimulationCase]:
+@functools.cache
+def build_simulation_cases() -> Mapping[str, SimulationCase]:
     """Church-numeral arithmetic in each calculus simulating recursive
-    arithmetic, on all operand tuples with entries up to 5."""
+    arithmetic, on all operand tuples with entries up to 5.  Built once
+    per process and shared read-only by every caller."""
     unary = tuple((i,) for i in range(6))
     binary = tuple((x, y) for x in range(6) for y in range(6))
     cases: dict[str, SimulationCase] = {}
@@ -275,11 +279,13 @@ def build_simulation_cases() -> dict[str, SimulationCase]:
                 target_program=catalog[combinator].body,
                 inputs=inputs,
             )
-    return cases
+    return MappingProxyType(cases)
 
 
-def build_weak_equivalence_cases() -> dict[str, WeakEquivalenceCase]:
-    """Round-trip recodings computed inside a model.
+@functools.cache
+def build_weak_equivalence_cases() -> Mapping[str, WeakEquivalenceCase]:
+    """Round-trip recodings computed inside a model, built once per
+    process and shared read-only by every caller.
 
     * godelize-sf: the in-calculus structural-code program sends each
       small SF normal form to the numeral of its code.
@@ -344,4 +350,4 @@ def build_weak_equivalence_cases() -> dict[str, WeakEquivalenceCase]:
         recoding2=Proj(1, 1),
         inputs=tuple(range(13)),
     )
-    return cases
+    return MappingProxyType(cases)

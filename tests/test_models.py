@@ -305,16 +305,23 @@ class TestNumbering:
             for t in enumerate_closed_terms(calc, 7):
                 assert gterm(gnum(t), calc) == t
 
-    def test_gnum_refuses_codes_past_the_digit_limit(self):
+    def test_gnum_refuses_codes_past_the_digit_limit(self, monkeypatch):
         # 23 S's code to about 1.4 million digits, 24 S's to 2.8 million.
         assert MAX_CODE_DIGITS == 2_000_000
-        with pytest.raises(ValueError, match="more than 2,000,000 digits"):
-            gnum(app(*[S] * 24))
         deep = S
         for _ in range(30):  # bit length doubles per level
             deep = App(deep, deep)
-        with pytest.raises(ValueError, match="more than 2,000,000 digits"):
-            gnum(deep)
+        for t in (app(*[S] * 24), deep):
+            # Refused as soon as the applications still open make the
+            # code certain to be too long: after pairing a few small codes.
+            calls = []
+            monkeypatch.setattr(
+                "sfcalc.models.cantor_pair",
+                lambda a, b: calls.append(1) or cantor_pair(a, b),
+            )
+            with pytest.raises(ValueError, match="more than 2,000,000 digits"):
+                gnum(t)
+            assert len(calls) <= 3
 
     @pytest.mark.parametrize("bits", [1, 64, 1023, 1024, 1025, 2048, 2049, 4097, 70_000])
     def test_code_digits_are_str(self, bits):
@@ -372,7 +379,8 @@ class TestNumbering:
     def test_a_long_code_parses_quickly(self):
         # 691,207 digits, as many as the code of 22 S's; int() takes
         # about 4 s on them, halving about 0.8 s.
-        text = "".join(random.Random(22).choice("0123456789") for _ in range(691_207))
+        rng = random.Random(22)
+        text = "".join(rng.choices("0123456789", k=691_207))
         start = time.perf_counter()
         value = code_from_digits(text)
         assert time.perf_counter() - start < 2.5

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 
@@ -15,7 +16,6 @@ from sfcalc.syntax import (
     ParseError,
     PolishError,
     from_polish,
-    is_well_formed_polish,
     parse,
     render,
     render_capped,
@@ -189,15 +189,41 @@ class TestPolish:
         with pytest.raises(CalculusError):
             from_polish("ASF", SK)  # foreign operator letter
 
-    def test_well_formedness_predicate_matches_decoder(self):
-        words = ["ASAKK", "S", "K", "AS", "", "ASK", "AKS", "AAKSS", "QQ"]
-        for word in words:
-            ok = True
-            try:
-                from_polish(word, SK)
-            except PolishError:
-                ok = False
-            assert is_well_formed_polish(word, SK) == ok
+    @staticmethod
+    def _counter_law(word, calc):
+        """Start at 1; A adds 1, an operator letter subtracts 1, any other
+        letter fails; the counter must reach 0 exactly at the last letter."""
+        counter = 1
+        for i, ch in enumerate(word):
+            if ch == "A":
+                counter += 1
+            elif ch in calc.operators:
+                counter -= 1
+            else:
+                return False
+            if counter == 0:
+                return i == len(word) - 1
+        return False
+
+    def test_decoder_accepts_exactly_the_counter_law_words(self):
+        words = ["QQ"] + [
+            "".join(w) for n in range(7) for w in itertools.product("ASKFx", repeat=n)
+        ]
+        accepted = 0
+        for calc in (SK, SF):
+            for word in words:
+                try:
+                    t = from_polish(word, calc)
+                except CalculusError:
+                    continue  # a foreign operator letter
+                except PolishError:
+                    assert not self._counter_law(word, calc), word
+                else:
+                    assert self._counter_law(word, calc), word
+                    assert to_polish(t) == word
+                    accepted += 1
+        # Each closed term of up to 5 nodes once: their words have 1, 3 or 5 letters.
+        assert accepted == sum(len(enumerate_closed_terms(c, 5)) for c in (SK, SF))
 
     @given(closed_terms_st(SF))
     def test_roundtrip_polish_sf(self, t):

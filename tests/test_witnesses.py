@@ -156,6 +156,14 @@ class TestPackagedCases:
         godelize = build_catalog(Calculus.SF)["godelize"].body
         assert build_weak_equivalence_cases()["godelize-sf"].recoding2 is godelize
 
+    def test_case_tables_are_built_once_and_read_only(self):
+        for build in (build_simulation_cases, build_weak_equivalence_cases):
+            cases = build()
+            assert build() is cases
+            name = next(iter(cases))
+            with pytest.raises(TypeError):
+                cases[name] = cases[name]  # type: ignore[index]
+
     def test_weak_equivalence_inventory(self):
         cases = build_weak_equivalence_cases()
         assert list(cases) == [
