@@ -64,6 +64,7 @@ from .stdlib import build_catalog, catalog_terms
 from .syntax import from_polish, parse, render, render_capped, to_polish
 from .terms import Calculus, S, Term, app, free_vars, substitute
 from .turing import (
+    DEFAULT_TM_BUDGET,
     EQUALITY_MACHINE,
     IDENTITY_MACHINE,
     equality_step_bound,
@@ -399,7 +400,7 @@ def _demo_turing_equality(args, out, err) -> int:
     exit_code = EXIT_OK
     for w1, w2 in pairs:
         tape = f"{w1}#{w2}"
-        run = run_machine(EQUALITY_MACHINE, tape, budget=10**6)
+        run = run_machine(EQUALITY_MACHINE, tape)
         bound = equality_step_bound(len(tape))
         expected = "accept" if w1 == w2 else "reject"
         if run.status != expected or run.steps > bound:
@@ -495,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr = tsub.add_parser("run", help="run a machine file on a word")
     pr.add_argument("machine", help="machine file, or @equality / @identity")
     pr.add_argument("word")
-    pr.add_argument("--budget", type=int, default=1_000_000)
+    pr.add_argument("--budget", type=int, default=DEFAULT_TM_BUDGET)
     pr.set_defaults(run=_cmd_tm_run)
 
     p = sub.add_parser("check", help="run a named empirical check")

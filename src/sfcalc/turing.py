@@ -20,6 +20,15 @@ with move one of L, R, S (left, right, stay).  The accept and reject
 states must have no outgoing transitions.  A missing transition is an
 implicit transition to the reject state.
 
+Each fired transition costs one step.  The runner keeps the tape as an
+array of symbol codes (one byte each for alphabets of up to 256 symbols),
+with a mirrored copy for moving left, and looks up each (state, symbol)
+in an action table built with the spec.  A sweep, a transition that
+keeps both its state and its symbol, is taken as one pattern match over
+the cells it passes and charged one step per cell.  A machine that loops
+in place, or sweeps into the endless blank beyond the tape, is charged
+its whole budget at once, so it answers at any budget.
+
 The module ships two machines built from such text: an identity machine
 (start state = accept state, zero transitions) and a machine deciding
 whether two '#'-separated words over {A, S, K, F} are equal, by marking
@@ -28,7 +37,9 @@ matched symbols with X.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from array import array
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from .models import Model, ModelResult
@@ -48,6 +59,50 @@ class MachineSpec:
     start: str
     accept: str
     reject: str
+    # Derived when built: the symbols by code (the blank is code 0), their
+    # codes, the tape's array typecode, and each state's row of actions.
+    symbols: tuple[str, ...] = field(init=False, repr=False)
+    codes: Mapping[str, int] = field(init=False, repr=False)
+    typecode: str = field(init=False, repr=False)
+    actions: Mapping[str, dict[int, tuple] | None] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        symbols = (self.blank, *sorted(self.alphabet - {self.blank}))
+        codes = {s: i for i, s in enumerate(symbols)}
+        typecode = "B" if len(symbols) <= 256 else "I"
+        # The codes each (state, move) passes over unchanged.
+        passes: dict[tuple[str, int], set[int]] = {}
+        for (state, symbol), (new_state, new_symbol, move) in self.transitions.items():
+            if (new_state, new_symbol) == (state, symbol):
+                passes.setdefault((state, move), set()).add(codes[symbol])
+        sweeps = {
+            key: (_sweep_pattern(passed, typecode) if key[1] else None, 0 in passed)
+            for key, passed in passes.items()
+        }
+        # A row maps a code to (state', row', code', move, sweep); the
+        # halting states have no row.
+        rows: dict[str, dict[int, tuple] | None] = {self.start: {}}
+        for (state, _symbol), (new_state, _new_symbol, _move) in self.transitions.items():
+            rows.setdefault(state, {})
+            rows.setdefault(new_state, {})
+        rows[self.accept] = rows[self.reject] = None
+        for (state, symbol), (new_state, new_symbol, move) in self.transitions.items():
+            sweep = sweeps[state, move] if (new_state, new_symbol) == (state, symbol) else None
+            action = (new_state, rows[new_state], codes[new_symbol], move, sweep)
+            rows[state][codes[symbol]] = action
+        for name, value in (("symbols", symbols), ("codes", codes),
+                            ("typecode", typecode), ("actions", rows)):
+            object.__setattr__(self, name, value)
+
+
+def _sweep_pattern(passed: set[int], typecode: str) -> re.Pattern[bytes]:
+    """The pattern of a run of cells whose codes are all in `passed`,
+    matched from a cell boundary of a tape array with that typecode."""
+    units = [b"".join(b"\\x%02x" % b for b in array(typecode, [c]).tobytes())
+             for c in sorted(passed)]
+    if typecode == "B":
+        return re.compile(b"[" + b"".join(units) + b"]*")
+    return re.compile(b"(?:" + b"|".join(units) + b")*")
 
 
 def parse_machine(text: str) -> MachineSpec:
@@ -120,40 +175,62 @@ DEFAULT_TM_BUDGET = 1_000_000
 def run_machine(spec: MachineSpec, word: str, budget: int = DEFAULT_TM_BUDGET) -> MachineRun:
     """Run the machine on the input word (written at the head, which
     starts on its first character).  Each fired transition costs one step;
-    a missing transition rejects without a step."""
+    a missing transition rejects without a step.
+
+    A sweep, a transition that keeps its state and symbol, is taken in
+    one pattern match over the run of cells it passes, and charged one
+    step per cell, up to the budget left.  A sweep that would run on
+    into the endless blank past the tape's end, and a stay self-loop,
+    take the whole budget at once, so a looping machine answers at any
+    budget."""
     for ch in word:
         if ch == spec.blank or ch not in spec.alphabet:
             raise MachineError(f"input symbol {ch!r} not in the machine's alphabet")
-    tape: dict[int, str] = {i: ch for i, ch in enumerate(word)}
-    head = 0
-    state = spec.start
-    steps = 0
-
-    def stripped() -> str:
-        cells = [i for i, ch in tape.items() if ch != spec.blank]
-        if not cells:
-            return ""
-        lo, hi = min(cells), max(cells)
-        return "".join(tape.get(i, spec.blank) for i in range(lo, hi + 1))
-
+    tape = array(spec.typecode, map(spec.codes.__getitem__, word))
+    mirror = tape[::-1]  # cell i of the tape is cell last - i here; left sweeps match on it
+    size = tape.itemsize
+    last = len(tape) - 1
+    head = steps = 0
+    state, row = spec.start, spec.actions[spec.start]
     while True:
-        if state == spec.accept:
-            return MachineRun("accept", steps, stripped())
-        if state == spec.reject:
-            return MachineRun("reject", steps, stripped())
+        if row is None:
+            status = "accept" if state == spec.accept else "reject"
+            break
         if steps >= budget:
-            return MachineRun("budget", steps, stripped())
-        symbol = tape.get(head, spec.blank)
-        trans = spec.transitions.get((state, symbol))
-        if trans is None:
-            return MachineRun("reject", steps, stripped())
-        state, new_symbol, move = trans
-        if new_symbol == spec.blank:
-            tape.pop(head, None)
-        else:
-            tape[head] = new_symbol
-        head += move
-        steps += 1
+            status = "budget"
+            break
+        if not 0 <= head <= last:
+            pad = array(spec.typecode, bytes(max(last + 1, 16) * size))
+            if head < 0:
+                tape, mirror, head = pad + tape, mirror + pad, head + len(pad)
+            else:
+                tape, mirror = tape + pad, pad + mirror
+            last = len(tape) - 1
+        action = row.get(tape[head])
+        if action is None:
+            status = "reject"
+            break
+        state, row, code, move, sweep = action
+        if sweep is None:
+            tape[head] = code
+            mirror[last - head] = code
+            head += move
+            steps += 1
+            continue
+        pattern, endless = sweep
+        if pattern is not None:
+            buf, at = (tape, head) if move > 0 else (mirror, last - head)
+            passed = pattern.match(buf, at * size).end() // size - at
+            if steps + passed < budget and not (endless and at + passed > last):
+                steps += passed
+                head += move * passed
+                continue
+        # The budget runs out in a sweep, on a sweep that never stops,
+        # or on a stay self-loop.
+        steps, status = budget, "budget"
+        break
+    text = "".join(map(spec.symbols.__getitem__, tape))
+    return MachineRun(status, steps, text.strip(spec.blank))
 
 
 IDENTITY_MACHINE_TEXT = """\

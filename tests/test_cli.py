@@ -404,6 +404,20 @@ class TestTuringRun:
         assert code == EXIT_ERROR
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "body",
+        ["a A -> a A S\n", "a A -> a A R\na _ -> a _ R\n"],
+        ids=["stay-loop", "endless-blank-sweep"],
+    )
+    def test_looping_machine_spends_a_huge_budget_at_once(self, tmp_path, body):
+        # One step at a time, a budget of 10^12 would take about 6 days.
+        path = tmp_path / "loop.tm"
+        path.write_text("start a\naccept b\nreject c\n" + body)
+        start = time.perf_counter()
+        code, out, err = run("tm", "run", str(path), "A", "--budget", "1000000000000")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (EXIT_BUDGET, "budget 1000000000000 A\n", "")
+
 
 class TestCheck:
     def test_sim_list(self):
@@ -712,9 +726,13 @@ FUZZ_ARGV = st.one_of(
         lambda expr, calc: ["lambda", expr, "--calc", calc], DEEP_LAMBDA_TEXT, CALC
     ),
     st.builds(
-        lambda machine, word: ["tm", "run", machine, word],
+        lambda machine, word, budget: ["tm", "run", machine, word, *budget],
         st.sampled_from(["@equality", "@identity"]),
         st.one_of(NOISE, st.text(alphabet="ASFK#", max_size=24)),
+        st.one_of(
+            st.just([]),
+            st.one_of(SMALL_BUDGET, st.just("1000000000000")).map(lambda b: ["--budget", b]),
+        ),
     ),
     st.lists(st.one_of(ARGV_TOKENS, NOISE), max_size=6).map(_small_budget),
 )

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
-from sfcalc.models import enumerate_normal_forms
+from sfcalc.models import enumerate_normal_forms, random_closed_term
 from sfcalc.syntax import to_polish
 from sfcalc.terms import Calculus
 from sfcalc.turing import (
@@ -19,6 +21,7 @@ from sfcalc.turing import (
     run_machine,
     turing_model,
 )
+from turing_oracle import reference_run_machine
 
 BASE = "start a\naccept b\nreject c\nalphabet AS_\n"
 
@@ -152,3 +155,99 @@ class TestTuringModel:
     def test_model_budget(self):
         model = turing_model(budget=2)
         assert model.apply(EQUALITY_MACHINE, ["ASS#ASS"]).status == "budget"
+
+
+def _agree(spec, word, budgets):
+    for budget in budgets:
+        want = reference_run_machine(spec, word, budget)
+        assert run_machine(spec, word, budget) == want, (word, budget)
+
+
+def _short_budgets(spec, word, horizon=400):
+    """Every budget from -1 to steps + 1 when the run halts within the
+    horizon; otherwise a spread of budgets up to it."""
+    full = reference_run_machine(spec, word, horizon)
+    if full.status != "budget":
+        return range(-1, full.steps + 2)
+    return (-1, 0, 1, 2, 3, 5, 17, 64, 199, horizon)
+
+
+# Alphabet pools for random machines: a narrow one, and one of 300
+# symbols, whose codes take more than a byte.
+_NARROW = "ASKF#X"
+_WIDE = "".join(chr(0x100 + i) for i in range(300))
+
+
+def _random_machine(rng: random.Random, wide: bool):
+    """A random machine file over states q0..qk: about half its
+    transitions keep their state and symbol (L, R or S sweeps, the blank
+    included), and the rest may write blanks or halt."""
+    pool = _WIDE if wide else _NARROW
+    used = rng.sample(pool, rng.randint(1, 6)) + ["_"]
+    states = [f"q{i}" for i in range(rng.randint(1, 4))]
+    lines = ["start q0", "accept acc", "reject rej", f"alphabet {pool}"]
+    seen = set()
+    for _ in range(rng.randint(1, 3 * len(states) * len(used) // 2 + 1)):
+        state, symbol = rng.choice(states), rng.choice(used)
+        if (state, symbol) in seen:
+            continue
+        seen.add((state, symbol))
+        if rng.random() < 0.5:
+            new_state, new_symbol = state, symbol
+            move = rng.choice("LLRRS")
+        else:
+            new_state = rng.choice(states + ["acc", "rej"] * (rng.random() < 0.3))
+            new_symbol = rng.choice(used)
+            move = rng.choice("LRS")
+        lines.append(f"{state} {symbol} -> {new_state} {new_symbol} {move}")
+    spec = parse_machine("\n".join(lines) + "\n")
+    inputs = [c for c in used if c != "_"]
+    word = "".join(rng.choice(inputs) for _ in range(rng.randint(0, 10)))
+    return spec, word
+
+
+_HAND_MACHINES = {
+    "stay-loop": ("a A -> a A S\n", "A"),
+    "endless-right-sweep": ("a A -> a A R\na _ -> a _ R\n", "AAS"),
+    "endless-left-sweep": ("a A -> a A L\na _ -> a _ L\n", "A"),
+    "sweep-onto-the-blank": ("a A -> a A R\na S -> a S R\na _ -> b K S\n", "ASAS"),
+    "left-of-cell-0": ("a A -> a A L\na _ -> d K L\nd _ -> b S R\n", "AA"),
+    "blank-writes-inside": ("a A -> a A R\na S -> d _ R\nd A -> a A R\na _ -> b _ S\n", "ASASA"),
+    "erase-all": ("a A -> a _ R\na _ -> b _ S\n", "AAA"),
+    "blank-sweep-between": (
+        "a K -> a K R\na A -> a _ R\na S -> d S L\nd _ -> d _ L\nd K -> b K S\n", "KAAS"
+    ),
+    "empty-word": ("a _ -> a _ R\n", ""),
+}
+
+
+class TestRunnerAgainstOracle:
+    """`run_machine` is checked against tests/turing_oracle.py, the plain
+    `dict`-tape runner: the whole MachineRun, budget stops included."""
+
+    def test_shipped_machines_on_long_polish_pairs(self):
+        rng = random.Random(17)
+        for _ in range(8):
+            w = to_polish(random_closed_term(Calculus.SF, rng.randrange(51, 73, 2), rng))
+            for tape in (f"{w}#{w}", f"{w}#{w[:-1]}{'S' if w[-1] == 'F' else 'F'}"):
+                steps = reference_run_machine(EQUALITY_MACHINE, tape).steps
+                _agree(EQUALITY_MACHINE, tape, (-1, 0, 1, steps // 3, steps - 1, steps, steps + 1))
+                _agree(IDENTITY_MACHINE, tape, (-1, 0, 1))
+
+    def test_equality_machine_at_every_budget(self):
+        for tape in ("", "#", "S#S", "ASKF#ASKF", "AS#AF", "ASS#AS", "SS"):
+            _agree(EQUALITY_MACHINE, tape, _short_budgets(EQUALITY_MACHINE, tape))
+
+    @pytest.mark.parametrize("name", sorted(_HAND_MACHINES))
+    def test_hand_machines(self, name):
+        body, word = _HAND_MACHINES[name]
+        spec = parse_machine("start a\naccept b\nreject c\nalphabet ASK_\n" + body)
+        _agree(spec, word, [*_short_budgets(spec, word), 10**4])
+
+    @pytest.mark.parametrize("wide", [False, True], ids=["narrow", "wide"])
+    def test_random_machines(self, wide):
+        rng = random.Random(2014 + wide)
+        for _ in range(300):
+            spec, word = _random_machine(rng, wide)
+            assert spec.typecode == ("I" if wide else "B")
+            _agree(spec, word, _short_budgets(spec, word))
