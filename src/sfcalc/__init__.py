@@ -82,7 +82,6 @@ from .terms import (
     atom,
     free_vars,
     substitute,
-    var,
 )
 from .turing import (
     EQUALITY_MACHINE,

@@ -37,7 +37,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import re
 import sys
 from typing import IO, Mapping, Sequence
 
@@ -62,7 +61,7 @@ from .reduction import (
 )
 from .stdlib import build_catalog, catalog_terms
 from .syntax import from_polish, parse, render, render_capped, to_polish
-from .terms import Calculus, S, Term, app, free_vars, substitute
+from .terms import Calculus, S, Term, app, free_vars, is_lowercase_name, substitute
 from .turing import (
     DEFAULT_TM_BUDGET,
     EQUALITY_MACHINE,
@@ -118,7 +117,7 @@ def parse_prelude(
         if len(head_parts) != 2 or head_parts[0] != "let" or not sep:
             raise PreludeError(f"expected 'let name = term;', got {chunk!r}")
         name = head_parts[1]
-        if not re.fullmatch(r"[a-z][a-z0-9_]*", name):
+        if not is_lowercase_name(name):
             raise PreludeError(
                 f"prelude names are lowercase identifiers [a-z][a-z0-9_]*: {name!r}"
             )

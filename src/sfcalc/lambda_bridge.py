@@ -24,7 +24,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .terms import App, Calculus, F, K, S, Term, Var
+from .terms import App, Calculus, F, K, S, Term, Var, dag_postorder
 
 
 # --- lambda terms ------------------------------------------------------------
@@ -229,16 +229,11 @@ def abstract(name: str, m: Term, calc: Calculus, optimized: bool) -> Term:
     # One post-order pass; a shared node is abstracted once.  An image is
     # None where it is K node: at a leaf other than `name`, and, when
     # `optimized`, wherever `name` does not occur (a closed node unwalked).
+    unwalked = lambda u: optimized and u.closed  # noqa: E731
     images: dict[int, Optional[Term]] = {}
-    stack = [m]
-    while stack:
-        node = stack.pop()
-        if id(node) in images:
-            continue
-        if type(node) is not App or (optimized and node.closed):
+    for node in dag_postorder(m, unwalked):
+        if type(node) is not App or unwalked(node):
             images[id(node)] = i if type(node) is Var and node.name == name else None
-        elif id(node.fun) not in images or id(node.arg) not in images:
-            stack += [node, node.arg, node.fun]
         else:
             fun, arg = images[id(node.fun)], images[id(node.arg)]
             if optimized and fun is None and (arg is None or type(node.arg) is Var):

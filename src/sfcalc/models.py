@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from math import ceil, isqrt, log2
 from typing import Callable, Optional, Sequence, Union
 
-from .reduction import Status, normalize
+from .reduction import DEFAULT_BUDGET, Status, normalize
 from .syntax import render
 from .terms import ARITY, App, Atom, Calculus, S, Term, app, check_calculus
 
@@ -477,7 +477,7 @@ def recursive_model(budget: int = DEFAULT_REC_BUDGET) -> Model:
     )
 
 
-def normal_model(calc: Calculus, budget: int = 100_000) -> Model:
+def normal_model(calc: Calculus, budget: int = DEFAULT_BUDGET) -> Model:
     """Programs and values are closed terms of the calculus; applying a
     program reduces program args... to normal form.  A stuck outcome
     (impossible for closed terms) would count as undefined."""

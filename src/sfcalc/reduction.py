@@ -49,6 +49,7 @@ from .terms import (
     F,
     Term,
     check_calculus,
+    dag_postorder,
 )
 
 RULE_S = "S-rule"
@@ -57,8 +58,6 @@ RULE_F_ATOM = "F-atom-rule"
 RULE_F_COMPOUND = "F-compound-rule"
 
 DEFAULT_BUDGET = 100_000
-
-_F_BIT = 4  # terms.ops bit for the F operator
 
 
 class Strategy(enum.Enum):
@@ -342,23 +341,19 @@ def _machine_normalize(
 # --- normalization -----------------------------------------------------------
 
 
+def _cannot_stick(t: Term) -> bool:
+    return t.closed or not t.ops & F.ops
+
+
 def _blocked_f_positions(t: Term) -> bool:
     """True iff t contains a fully applied F with a variable-headed first
     argument (the stuck shape).  Only possible in open terms."""
-    if t.closed or not t.ops & _F_BIT:
+    if _cannot_stick(t):
         return False
-    # Walk the DAG, not the tree: results can share subterms heavily.
-    seen: set[int] = set()
-    stack = [t]
-    while stack:
-        u = stack.pop()
-        if isinstance(u, App) and id(u) not in seen:
-            seen.add(id(u))
-            if u.head == "F" and u.nargs == 3 and u.fun.fun.arg.head is None:
-                return True
-            stack.append(u.fun)
-            stack.append(u.arg)
-    return False
+    return any(
+        u.head == "F" and u.nargs == 3 and u.fun.fun.arg.head is None
+        for u in dag_postorder(t, _cannot_stick)
+    )
 
 
 def _finish(t: Term, steps_taken: int, steps: tuple[Step, ...]) -> ReduceOutcome:

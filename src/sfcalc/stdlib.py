@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 
 from .lambda_bridge import abstract, bracket_abstract, church_lambda, i_term, k_term
 from .reduction import normalize
-from .terms import App, Calculus, F, Term, app, var
+from .terms import App, Calculus, F, Term, Var, app
 
 
 def lam(names: Sequence[str] | str, body: Term, calc: Calculus) -> Term:
@@ -94,7 +94,7 @@ def build_catalog(calc: Calculus) -> Mapping[str, NamedCombinator]:
     L = functools.partial(lam, calc=calc)
 
     m, n, a, b, o, p, q, r, s, g, h, e = (
-        var(x) for x in "mnabopqrsghe"
+        Var(x) for x in "mnabopqrsghe"
     )
 
     k = define("k", k_term(calc), "k X Y reduces to X")
@@ -106,7 +106,7 @@ def build_catalog(calc: Calculus) -> Mapping[str, NamedCombinator]:
     )
     fst = define("fst", L("p", App(p, true)), "fst (pair A B) reduces to A")
     snd = define("snd", L("p", App(p, false)), "snd (pair A B) reduces to B")
-    w = L("xf", App(var("f"), app(var("x"), var("x"), var("f"))))
+    w = L("xf", App(Var("f"), app(Var("x"), Var("x"), Var("f"))))
     fix = define(
         "fix",
         App(w, w),

@@ -14,9 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .terms import ARITY, App, Atom, Calculus, CalculusError, Term, atom, var
-
-_IDENT_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789_")
+from .terms import ARITY, NAME_CHARS, App, Atom, Calculus, CalculusError, Term, Var, atom
 
 
 class ParseError(ValueError):
@@ -56,9 +54,9 @@ def _lex(text: str, calc: Calculus) -> list[tuple[int, str, str]]:
             else:
                 tokens.append((i, "var", ch))
             i += 1
-        elif ch in _IDENT_CHARS and ch.isalpha():
+        elif ch in NAME_CHARS and ch.isalpha():
             j = i + 1
-            while j < n and text[j] in _IDENT_CHARS:
+            while j < n and text[j] in NAME_CHARS:
                 j += 1
             tokens.append((i, "var", text[i:j]))
             i = j
@@ -85,7 +83,7 @@ def parse(text: str, calc: Calculus) -> Term:
             _, outer = frames.pop()
             current = current if outer is None else App(outer, current)
         else:
-            leaf = atom(payload) if kind == "atom" else var(payload)
+            leaf = atom(payload) if kind == "atom" else Var(payload)
             current = leaf if current is None else App(current, leaf)
     if frames:
         raise ParseError("unclosed '('", frames[-1][0])
@@ -170,7 +168,7 @@ def render_terms(terms: Iterable[Term], cap: int | None = MAX_PRINT_NODES) -> li
             else:
                 # A space only where two identifier tokens would fuse.
                 text = item.name
-                if last and last[-1] in _IDENT_CHARS and text[0] in _IDENT_CHARS:
+                if last and last[-1] in NAME_CHARS and text[0] in NAME_CHARS:
                     out.append(" ")
             out.append(text)
             last = text

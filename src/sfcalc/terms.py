@@ -4,16 +4,21 @@ Terms are immutable binary application trees over operator atoms and
 variables.  Every node caches its size, spine-head operator, applied
 argument count, closedness, operator bitmask, and hash at construction
 time, so rule matching and calculus legality checks are O(1) and
-structural equality can shortcut on hashes.  Equality visits each pair
-of nodes once, so comparing shared terms costs their DAG size, not their
-tree size.
+structural equality can shortcut on hashes.
+
+A term may share subterms, so it is a DAG.  Every walk here visits a
+shared node once: equality visits each pair of nodes once, and
+`dag_postorder` lists each node once for `free_vars`, `substitute`, the
+stuck check and bracket abstraction.  So their cost is the DAG size, not
+the tree size, and `substitute` keeps every unchanged node, so sharing
+survives it.
 """
 
 from __future__ import annotations
 
 import enum
 import zlib
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 # --- operators and calculi -------------------------------------------------
 
@@ -118,9 +123,9 @@ class Term:
         return self.h
 
     def __repr__(self) -> str:
-        from .syntax import render
+        from .syntax import render_capped
 
-        return render(self)
+        return render_capped(self)
 
 
 class Atom(Term):
@@ -143,8 +148,9 @@ class Atom(Term):
 class Var(Term):
     """A term variable.
 
-    Legal names: lowercase identifiers (``x``, ``probe2``) or single
-    uppercase letters other than operator letters (``M``, ``P``).
+    Legal names are exactly what the term syntax reads as one variable
+    token: lowercase names ``[a-z][a-z0-9_]*`` (``x``, ``probe2``), or a
+    single uppercase letter other than an operator letter (``M``, ``P``).
     """
 
     __slots__ = ("name",)
@@ -177,14 +183,19 @@ class App(Term):
         self.h = (fun.h * 2654435761 + arg.h * 40503 + 3) & _HASH_MASK
 
 
+#: The characters of a lowercase variable name.
+NAME_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789_")
+
+
+def is_lowercase_name(name: str) -> bool:
+    """True iff name matches ``[a-z][a-z0-9_]*``."""
+    return name[:1].isalpha() and NAME_CHARS.issuperset(name)
+
+
 def _is_var_name(name: str) -> bool:
-    if len(name) == 1 and name.isupper():
+    if len(name) == 1 and name.isupper() and name.isalpha():
         return name not in ARITY
-    return (
-        name[:1].islower()
-        and name.isidentifier()
-        and name == name.lower()
-    )
+    return is_lowercase_name(name)
 
 
 # --- constructors ----------------------------------------------------------
@@ -202,10 +213,6 @@ def atom(name: str) -> Atom:
         raise ValueError(f"unknown operator {name!r}") from None
 
 
-def var(name: str) -> Var:
-    return Var(name)
-
-
 def app(fun: Term, *args: Term) -> Term:
     """Left-associated application: app(f, x, y) is (f x) y."""
     for a in args:
@@ -216,55 +223,52 @@ def app(fun: Term, *args: Term) -> Term:
 # --- structural helpers ----------------------------------------------------
 
 
+def dag_postorder(t: Term, stop: Callable[[App], bool]) -> list[Term]:
+    """Each node of t once, each application after its fun and its arg.
+
+    An application for which `stop` holds is listed without its subterms.
+    """
+    order: list[Term] = []
+    seen: set[int] = set()
+    stack: list[tuple[Term, bool]] = [(t, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            if type(node) is App and not stop(node):
+                stack += [(node, True), (node.arg, False), (node.fun, False)]
+            else:
+                order.append(node)
+    return order
+
+
+def _closed(t: Term) -> bool:
+    return t.closed
+
+
 def free_vars(t: Term) -> frozenset[str]:
     """Names of the variables occurring in t (there are no binders)."""
-    if t.closed:
-        return frozenset()
-    names: set[str] = set()
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if node.closed:
-            continue
-        if isinstance(node, Var):
-            names.add(node.name)
-        elif isinstance(node, App):
-            stack.append(node.fun)
-            stack.append(node.arg)
-    return frozenset(names)
+    return frozenset(u.name for u in dag_postorder(t, _closed) if type(u) is Var)
 
 
 def substitute(t: Term, bindings: Mapping[str, Term]) -> Term:
     """Replace every variable named in bindings by its image.
 
-    Closed subterms are returned as-is, preserving sharing.
+    Every node whose subterms come back unchanged is returned as-is, so
+    sharing is preserved.
     """
     if t.closed or not bindings:
         return t
-    if isinstance(t, Var):
-        return bindings.get(t.name, t)
-    assert isinstance(t, App)
-    # Iterative two-phase rebuild to survive very deep terms.
-    done: dict[int, Term] = {}
-    stack: list[tuple[Term, bool]] = [(t, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if node.closed:
-            continue
-        if isinstance(node, Var):
-            done[id(node)] = bindings.get(node.name, node)
-            continue
-        assert isinstance(node, App)
-        if not expanded:
-            stack.append((node, True))
-            stack.append((node.fun, False))
-            stack.append((node.arg, False))
+    images: dict[int, Term] = {}
+    for u in dag_postorder(t, _closed):
+        if type(u) is Var:
+            image = bindings.get(u.name, u)
+        elif type(u) is App and not u.closed:
+            fun, arg = images[id(u.fun)], images[id(u.arg)]
+            image = u if fun is u.fun and arg is u.arg else App(fun, arg)
         else:
-            fun = done.get(id(node.fun), node.fun)
-            arg = done.get(id(node.arg), node.arg)
-            if fun is node.fun and arg is node.arg:
-                done[id(node)] = node
-            else:
-                done[id(node)] = App(fun, arg)
-    return done.get(id(t), t)
-
+            image = u
+        images[id(u)] = image
+    return images[id(t)]

@@ -317,7 +317,7 @@ def build_weak_equivalence_cases() -> Mapping[str, WeakEquivalenceCase]:
             "the recursive function computing the code of SF numeral n "
             "(values from 10**61 up make every budget exhaust; kept honest)"
         ),
-        m1=normal_model(sf, 100_000),
+        m1=normal_model(sf),
         m2=recursive_model(),
         rho1=lambda n: church(n, sf),
         rho2=gnum,

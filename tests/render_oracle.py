@@ -8,8 +8,7 @@ checked against it root by root.
 
 from __future__ import annotations
 
-from sfcalc.syntax import _IDENT_CHARS
-from sfcalc.terms import App, Term
+from sfcalc.terms import NAME_CHARS, App, Term
 
 
 def render(t: Term) -> str:
@@ -35,7 +34,7 @@ def render(t: Term) -> str:
                 stack += [item.arg, item.fun]
             continue
         name = item.name
-        if last and last[-1] in _IDENT_CHARS and name[0] in _IDENT_CHARS:
+        if last and last[-1] in NAME_CHARS and name[0] in NAME_CHARS:
             out.append(" ")
         out.append(name)
         last = name

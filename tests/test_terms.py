@@ -7,7 +7,10 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from sfcalc import terms
 from sfcalc.models import random_closed_term
+from sfcalc.reduction import Strategy, _blocked_f_positions, normalize
+from sfcalc.syntax import ParseError, parse, render
 from sfcalc.terms import (
     ARITY,
     App,
@@ -20,6 +23,7 @@ from sfcalc.terms import (
     Var,
     app,
     check_calculus,
+    dag_postorder,
     free_vars,
     substitute,
 )
@@ -59,6 +63,32 @@ class TestConstruction:
         assert Var("x").name == "x"
         assert Var("probe2").name == "probe2"
         assert Var("M").name == "M"
+
+    @pytest.mark.parametrize(
+        "name", ["fooBar", "\u00e9t", "x\u00e9", "_x", "x\u0663", "\u216b", "\u00df"]
+    )
+    def test_names_the_term_syntax_cannot_read_are_rejected(self, name):
+        with pytest.raises(ValueError, match="illegal variable name"):
+            Var(name)
+
+    @given(
+        st.from_regex(r"[a-z][a-z0-9_]*", fullmatch=True)
+        | st.characters(whitelist_categories=["Lu"]).filter(lambda c: c not in ARITY)
+    )
+    def test_every_accepted_name_round_trips(self, name):
+        assert parse(render(Var(name)), Calculus.SF) == Var(name)
+
+    @given(st.text(max_size=4) | st.text("abxyzMSKF019_ \u00e9\u216b", max_size=4))
+    def test_var_accepts_exactly_one_variable_token(self, text):
+        try:
+            t = parse(text, Calculus.SF)
+        except (ParseError, CalculusError):
+            t = None
+        try:
+            accepted = Var(text).name == text
+        except ValueError:
+            accepted = False
+        assert accepted == (type(t) is Var and t.name == text)
 
     def test_structural_equality_and_hash(self):
         assert App(S, K) == App(S, K)
@@ -163,3 +193,163 @@ class TestPaths:
             except (IndexError, ValueError, TypeError):
                 continue
             assert replace_at(t, path, sub) == t
+
+
+def distinct_nodes(t):
+    """The ids of the nodes of t, found without `dag_postorder`."""
+    seen, stack = set(), [t]
+    while stack:
+        u = stack.pop()
+        if id(u) not in seen:
+            seen.add(id(u))
+            if isinstance(u, App):
+                stack += [u.fun, u.arg]
+    return seen
+
+
+def d_power_normal_form(n):
+    """The applicative normal form of D^n x, D = S I I: 2^(n+1) - 1 tree
+    nodes, n + 1 distinct ones."""
+    i = app(S, K, K)
+    t = Var("x")
+    for _ in range(n):
+        t = App(app(S, i, i), t)
+    out = normalize(t, Calculus.SK, Strategy.APPLICATIVE)
+    assert out.term.size == 2 ** (n + 1) - 1
+    return out.term
+
+
+@pytest.fixture
+def walked(monkeypatch):
+    """The applications that walks through `dag_postorder` visit.  A walk
+    that visits more than 1,000 fails there instead of running on."""
+    visits = []
+    walk = terms.dag_postorder
+
+    def counted(t, stop):
+        def visit(u):
+            visits.append(u)
+            if len(visits) > 1_000:
+                raise AssertionError("the walk visits nodes more than once")
+            return stop(u)
+
+        return walk(t, visit)
+
+    monkeypatch.setattr(terms, "dag_postorder", counted)
+    return visits
+
+
+class TestDagWalks:
+    """Each walk visits the distinct nodes of a term, not its tree nodes."""
+
+    def test_postorder_lists_each_distinct_node_once(self, walked):
+        t = d_power_normal_form(40)
+        order = terms.dag_postorder(t, lambda u: False)
+        assert len(walked) == 40
+        assert len(order) == len({id(u) for u in order}) == len(distinct_nodes(t)) == 41
+        assert order[-1] is t
+        position = {id(u): k for k, u in enumerate(order)}
+        for u in order:
+            if isinstance(u, App):
+                assert position[id(u.fun)] < position[id(u)] > position[id(u.arg)]
+
+    def test_postorder_lists_a_stopped_node_without_its_subterms(self):
+        closed = app(S, K, K)
+        t = App(Var("x"), closed)
+        assert dag_postorder(t, lambda u: u.closed) == [Var("x"), closed, t]
+        assert dag_postorder(closed, lambda u: u.closed) == [closed]
+
+    def test_a_shared_term_prints_capped(self):
+        assert repr(d_power_normal_form(40)).startswith("<term of 2199023255551 nodes")
+
+    def test_free_vars_of_a_shared_normal_form(self, walked):
+        assert free_vars(d_power_normal_form(40)) == {"x"}
+        assert len(walked) == 40
+
+    def test_substitute_keeps_the_sharing(self, walked):
+        t = d_power_normal_form(40)
+        u = substitute(t, {"x": K})
+        assert len(walked) == 40
+        assert u.closed and u.size == t.size
+        assert len(distinct_nodes(u)) == len(distinct_nodes(t))
+
+
+# --- recursive reference definitions -------------------------------------------
+
+
+def ref_free_vars(t):
+    if isinstance(t, Var):
+        return {t.name}
+    if isinstance(t, App):
+        return ref_free_vars(t.fun) | ref_free_vars(t.arg)
+    return set()
+
+
+def ref_substitute(t, bindings):
+    if isinstance(t, Var):
+        return bindings.get(t.name, t)
+    if isinstance(t, App):
+        return App(ref_substitute(t.fun, bindings), ref_substitute(t.arg, bindings))
+    return t
+
+
+def spine(t):
+    args = []
+    while isinstance(t, App):
+        args.append(t.arg)
+        t = t.fun
+    return t, args[::-1]
+
+
+def ref_stuck(t):
+    """Some subterm is F applied to exactly three arguments, the first one
+    variable-headed."""
+    head, args = spine(t)
+    if head == F and len(args) == 3 and isinstance(spine(args[0])[0], Var):
+        return True
+    return isinstance(t, App) and (ref_stuck(t.fun) or ref_stuck(t.arg))
+
+
+def random_dag(calc, rng, nodes=30):
+    """A random open term built from a pool of earlier nodes, so that
+    subterms are shared; the pool holds stuck F shapes, closed and F-free
+    subterms beside them."""
+    x, y = Var("x"), Var("y")
+    pool = [Atom(o) for o in sorted(calc.operators)] + [x, y, App(x, y)]
+    if calc is Calculus.SF:
+        pool += [app(F, x, S, S), app(F, App(y, S), F)]
+    pool.append(random_closed_term(calc, 5, rng))
+    for _ in range(nodes):
+        t = App(rng.choice(pool), rng.choice(pool))
+        if t.size <= 4_000:
+            pool.append(t)
+    return rng.choice(pool[-5:])
+
+
+class TestWalksAgainstReference:
+    @pytest.mark.parametrize("seed", range(60))
+    @pytest.mark.parametrize("calc", list(Calculus))
+    def test_random_terms(self, calc, seed):
+        rng = random.Random(seed)
+        t = random_dag(calc, rng)
+        bindings = {"x": random_closed_term(calc, 3, rng), "y": Var("z")}
+        if seed % 3 == 0:
+            del bindings["y"]
+        assert free_vars(t) == ref_free_vars(t)
+        assert _blocked_f_positions(t) == ref_stuck(t)
+        u = substitute(t, bindings)
+        assert u == ref_substitute(t, bindings)
+        # Every subterm that no binding touches is kept as the same node.
+        kept = distinct_nodes(u)
+        for node in dag_postorder(t, lambda v: False):
+            if not ref_free_vars(node) & bindings.keys():
+                assert id(node) in kept
+
+    def test_stuck_f_beside_closed_and_f_free_siblings(self):
+        stuck = app(F, Var("x"), S, S)
+        for sibling in (app(S, S, S), app(S, Var("y")), app(F, F), Var("y")):
+            for t in (App(sibling, stuck), App(stuck, sibling), App(App(sibling, sibling), stuck)):
+                assert _blocked_f_positions(t) and ref_stuck(t)
+            assert _blocked_f_positions(App(sibling, sibling)) == ref_stuck(App(sibling, sibling))
+        assert not _blocked_f_positions(app(F, app(S, Var("x")), S, S))
+        assert not _blocked_f_positions(app(F, Var("x"), S))
