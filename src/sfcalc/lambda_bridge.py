@@ -21,8 +21,7 @@ parentheses group; e.g. ``\\\\1 0`` is the term taking f then x to f x.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .terms import App, Calculus, F, K, S, Term, Var, dag_postorder
 
@@ -31,26 +30,52 @@ from .terms import App, Calculus, F, K, S, Term, Var, dag_postorder
 
 
 class _LambdaNode:
-    """The repr of a λ-term is its text."""
+    """λ-terms are immutable and compare and hash by structure, over
+    their slots.  The repr of a λ-term is its text."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __repr__(self) -> str:
         return render_lambda(self)  # type: ignore[arg-type]
 
 
-@dataclass(frozen=True, repr=False)
+_set = object.__setattr__
+
+
 class Index(_LambdaNode):
-    n: int
+    __slots__ = ("n",)
+
+    def __init__(self, n: int) -> None:
+        _set(self, "n", n)
 
 
-@dataclass(frozen=True, repr=False)
 class Lam(_LambdaNode):
-    body: "LambdaTerm"
+    __slots__ = ("body",)
+
+    def __init__(self, body: LambdaTerm) -> None:
+        _set(self, "body", body)
 
 
-@dataclass(frozen=True, repr=False)
 class LApp(_LambdaNode):
-    fun: "LambdaTerm"
-    arg: "LambdaTerm"
+    __slots__ = ("fun", "arg")
+
+    def __init__(self, fun: LambdaTerm, arg: LambdaTerm) -> None:
+        _set(self, "fun", fun)
+        _set(self, "arg", arg)
 
 
 LambdaTerm = Union[Index, Lam, LApp]
@@ -189,8 +214,7 @@ class LambdaStatus(enum.Enum):
     BUDGET = "budget"
 
 
-@dataclass(frozen=True)
-class LambdaOutcome:
+class LambdaOutcome(NamedTuple):
     status: LambdaStatus
     term: LambdaTerm
     steps_taken: int

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import decimal
 import random
-from dataclasses import dataclass, field
 from math import ceil, isqrt, log2
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .reduction import DEFAULT_BUDGET, Status, normalize
 from .syntax import render
@@ -59,15 +58,28 @@ def _charge(left: list[int], cost: int) -> None:
         raise _OutOfBudget
 
 
+_set = object.__setattr__
+
+
 class _Node:
-    """What a node derives from its parts when it is built."""
+    """What a node derives from its parts when it is built.  Nodes are
+    immutable and compare and hash by identity; the repr names the kind
+    and the arity, so that no method walks a deep program."""
+
+    __slots__ = ("arity", "_code", "__weakref__")
 
     arity: int
     _code: _Code
 
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} of arity {self.arity}>"
+
     def _derive(self, arity: int, code: _Code) -> None:
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "_code", code)
+        _set(self, "arity", arity)
+        _set(self, "_code", code)
 
     def _closure(self) -> _Run:
         """The node's closure; a summary's charges its whole cost in one
@@ -83,44 +95,43 @@ class _Node:
         return run
 
 
-@dataclass(frozen=True)
 class Zero(_Node):
     """z(x) = 0 (unary)."""
 
+    __slots__ = ()
     arity = 1
     _code = (1, None, 0)
 
 
-@dataclass(frozen=True)
 class Succ(_Node):
     """s(x) = x + 1 (unary)."""
 
+    __slots__ = ()
     arity = 1
     _code = (1, 0, 1)
 
 
-@dataclass(frozen=True)
 class Proj(_Node):
     """p[i,k](x1, ..., xk) = xi (1-indexed)."""
 
-    i: int
-    k: int
+    __slots__ = ("i", "k")
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.i <= self.k:
-            raise ArityError(f"projection index {self.i} out of range 1..{self.k}")
-        self._derive(self.k, (1, self.i - 1, 0))
+    def __init__(self, i: int, k: int) -> None:
+        if not 1 <= i <= k:
+            raise ArityError(f"projection index {i} out of range 1..{k}")
+        _set(self, "i", i)
+        _set(self, "k", k)
+        self._derive(k, (1, i - 1, 0))
 
 
-@dataclass(frozen=True)
 class Comp(_Node):
     """Composition: outer(g1(xs), ..., gm(xs)) for inners g1..gm."""
 
-    outer: "RecFn"
-    inners: tuple["RecFn", ...]
+    __slots__ = ("outer", "inners")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "inners", tuple(self.inners))
+    def __init__(self, outer: RecFn, inners: Sequence[RecFn]) -> None:
+        _set(self, "outer", outer)
+        _set(self, "inners", tuple(inners))
         if not self.inners:
             raise ArityError("composition needs at least one inner function")
         if self.outer.arity != len(self.inners):
@@ -150,7 +161,6 @@ class Comp(_Node):
         self._derive(arities.pop(), run)
 
 
-@dataclass(frozen=True)
 class PrimRec(_Node):
     """Primitive recursion on the last argument:
 
@@ -160,10 +170,11 @@ class PrimRec(_Node):
     base is k-ary, step is (k+2)-ary, the result is (k+1)-ary.
     """
 
-    base: "RecFn"
-    step: "RecFn"
+    __slots__ = ("base", "step")
 
-    def __post_init__(self) -> None:
+    def __init__(self, base: RecFn, step: RecFn) -> None:
+        _set(self, "base", base)
+        _set(self, "step", step)
         k = self.base.arity
         if self.step.arity != k + 2:
             raise ArityError(f"recursion step must be {k + 2}-ary, got {self.step.arity}")
@@ -190,14 +201,14 @@ class PrimRec(_Node):
         self._derive(k + 1, run)
 
 
-@dataclass(frozen=True)
 class Mu(_Node):
     """Minimisation: mu(f)(xs) is the least y with f(xs, y) = 0,
     searching upward from 0.  body is (k+1)-ary, the result k-ary."""
 
-    body: "RecFn"
+    __slots__ = ("body",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, body: RecFn) -> None:
+        _set(self, "body", body)
         if self.body.arity < 2:
             raise ArityError("minimised body must be at least binary")
         body = self.body._closure()
@@ -223,8 +234,7 @@ SUCC = Succ()
 DEFAULT_REC_BUDGET = 1_000_000
 
 
-@dataclass(frozen=True)
-class RecOutcome:
+class RecOutcome(NamedTuple):
     status: str  # "ok" | "budget"
     value: int | None
     evals: int
@@ -443,14 +453,12 @@ def build_probe_corpus(calc: Calculus, seed: int = 0) -> list[Term]:
 # --- models ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ModelResult:
+class ModelResult(NamedTuple):
     status: str  # "ok" | "undefined" | "budget"
     value: object = None
 
 
-@dataclass(frozen=True)
-class Model:
+class Model(NamedTuple):
     """A model of computation: a domain membership test and an apply
     operation taking a program and arguments to a ModelResult whose
     status separates defined results, definite undefinedness, and budget
@@ -522,22 +530,32 @@ def show_value(v: object) -> str:
     return str(v)
 
 
-@dataclass(frozen=True)
-class CheckRow:
+class CheckRow(NamedTuple):
     input: str
     lhs: str
     rhs: str
     verdict: str
 
 
-@dataclass
 class CheckReport:
     """A table of per-input comparisons.  Verdict `ok` means agreement,
     `skipped` means the comparison was inconclusive on the source side;
     everything else is a violation."""
 
-    name: str
-    rows: list[CheckRow] = field(default_factory=list)
+    __slots__ = ("name", "rows")
+    __hash__ = None  # type: ignore[assignment]  # rows is mutable
+
+    def __init__(self, name: str, rows: Optional[list[CheckRow]] = None) -> None:
+        self.name = name
+        self.rows = [] if rows is None else rows
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not CheckReport:
+            return NotImplemented
+        return (self.name, self.rows) == (other.name, other.rows)
+
+    def __repr__(self) -> str:
+        return f"CheckReport(name={self.name!r}, rows={self.rows!r})"
 
     @property
     def violations(self) -> list[CheckRow]:

@@ -38,8 +38,7 @@ counts, statuses and budget-stop terms are those of reduction on trees.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .syntax import render_terms
 from .terms import (
@@ -71,8 +70,7 @@ class Status(enum.Enum):
     STUCK = "stuck"
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     """One rewrite: where it fired, by which rule, the redex it fired on
     and the contractum that replaced it there."""
 
@@ -82,8 +80,7 @@ class Step:
     contractum: Term
 
 
-@dataclass(frozen=True)
-class ReduceOutcome:
+class ReduceOutcome(NamedTuple):
     status: Status
     term: Term  # normal form, partial term, or stuck term
     steps_taken: int

@@ -24,9 +24,8 @@ Construction notes:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .lambda_bridge import abstract, bracket_abstract, church_lambda, i_term, k_term
 from .reduction import normalize
@@ -63,8 +62,7 @@ def church(n: int, calc: Calculus) -> Term:
 # --- the catalog ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NamedCombinator:
+class NamedCombinator(NamedTuple):
     name: str
     calculus: Calculus
     body: Term  # closed

@@ -38,41 +38,52 @@ matched symbols with X.
 from __future__ import annotations
 
 import re
+import sys
 from array import array
-from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .models import Model, ModelResult
 
 _MOVES = {"L": -1, "R": 1, "S": 0}
+
+# The codec that reads each cell of a tape array with this typecode as
+# the one character whose code point is the cell's code.
+_CELL_CODECS = {"B": "latin-1", "I": f"utf-32-{sys.byteorder[0]}e"}
 
 
 class MachineError(ValueError):
     """A malformed machine description or an invalid input word."""
 
 
-@dataclass(frozen=True, eq=False)
 class MachineSpec:
+    """A parsed machine.  Immutable, and equal only to itself.  Besides
+    its six fields it derives, when built, the symbols by code (the blank
+    is code 0), their codes, the tape's array typecode, and each state's
+    row of actions."""
+
+    __slots__ = ("alphabet", "blank", "transitions", "start", "accept", "reject",
+                 "symbols", "codes", "typecode", "actions")
+
     alphabet: frozenset[str]
     blank: str
     transitions: Mapping[tuple[str, str], tuple[str, str, int]]
     start: str
     accept: str
     reject: str
-    # Derived when built: the symbols by code (the blank is code 0), their
-    # codes, the tape's array typecode, and each state's row of actions.
-    symbols: tuple[str, ...] = field(init=False, repr=False)
-    codes: Mapping[str, int] = field(init=False, repr=False)
-    typecode: str = field(init=False, repr=False)
-    actions: Mapping[str, dict[int, tuple] | None] = field(init=False, repr=False)
+    symbols: tuple[str, ...]
+    codes: Mapping[str, int]
+    typecode: str
+    actions: Mapping[str, dict[int, tuple] | None]
 
-    def __post_init__(self) -> None:
-        symbols = (self.blank, *sorted(self.alphabet - {self.blank}))
+    def __init__(self, alphabet: frozenset[str], blank: str,
+                 transitions: Mapping[tuple[str, str], tuple[str, str, int]],
+                 start: str, accept: str, reject: str) -> None:
+        symbols = (blank, *sorted(alphabet - {blank}))
         codes = {s: i for i, s in enumerate(symbols)}
         typecode = "B" if len(symbols) <= 256 else "I"
         # The codes each (state, move) passes over unchanged.
         passes: dict[tuple[str, int], set[int]] = {}
-        for (state, symbol), (new_state, new_symbol, move) in self.transitions.items():
+        for (state, symbol), (new_state, new_symbol, move) in transitions.items():
             if (new_state, new_symbol) == (state, symbol):
                 passes.setdefault((state, move), set()).add(codes[symbol])
         sweeps = {
@@ -81,18 +92,21 @@ class MachineSpec:
         }
         # A row maps a code to (state', row', code', move, sweep); the
         # halting states have no row.
-        rows: dict[str, dict[int, tuple] | None] = {self.start: {}}
-        for (state, _symbol), (new_state, _new_symbol, _move) in self.transitions.items():
+        rows: dict[str, dict[int, tuple] | None] = {start: {}}
+        for (state, _symbol), (new_state, _new_symbol, _move) in transitions.items():
             rows.setdefault(state, {})
             rows.setdefault(new_state, {})
-        rows[self.accept] = rows[self.reject] = None
-        for (state, symbol), (new_state, new_symbol, move) in self.transitions.items():
+        rows[accept] = rows[reject] = None
+        for (state, symbol), (new_state, new_symbol, move) in transitions.items():
             sweep = sweeps[state, move] if (new_state, new_symbol) == (state, symbol) else None
             action = (new_state, rows[new_state], codes[new_symbol], move, sweep)
             rows[state][codes[symbol]] = action
-        for name, value in (("symbols", symbols), ("codes", codes),
-                            ("typecode", typecode), ("actions", rows)):
+        for name, value in zip(self.__slots__, (alphabet, blank, transitions, start, accept,
+                                                reject, symbols, codes, typecode, rows)):
             object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("MachineSpec is immutable")
 
 
 def _sweep_pattern(passed: set[int], typecode: str) -> re.Pattern[bytes]:
@@ -162,8 +176,7 @@ def parse_machine(text: str) -> MachineSpec:
     )
 
 
-@dataclass(frozen=True)
-class MachineRun:
+class MachineRun(NamedTuple):
     status: str  # "accept" | "reject" | "budget"
     steps: int
     word: str  # the non-blank span of the tape when the run stopped
@@ -229,8 +242,11 @@ def run_machine(spec: MachineSpec, word: str, budget: int = DEFAULT_TM_BUDGET) -
         # or on a stay self-loop.
         steps, status = budget, "budget"
         break
-    text = "".join(map(spec.symbols.__getitem__, tape))
-    return MachineRun(status, steps, text.strip(spec.blank))
+    # Decode the tape as one character per cell, then map each code to
+    # its symbol, without one Python object per cell; the mirror goes first.
+    del mirror
+    cells = str(tape, _CELL_CODECS[spec.typecode], "surrogatepass")
+    return MachineRun(status, steps, cells.translate(spec.symbols).strip(spec.blank))
 
 
 IDENTITY_MACHINE_TEXT = """\

@@ -17,9 +17,8 @@ roughly square with each successor.  See `church_code_recfn` and
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .models import (
     Comp,
@@ -179,8 +178,7 @@ def _compare(shown: str, expected: object, res: ModelResult) -> CheckRow:
     return CheckRow(shown, show_value(expected), show_value(res.value), verdict)
 
 
-@dataclass(frozen=True)
-class SimulationCase:
+class SimulationCase(NamedTuple):
     """The encoding `encode` of source values into target values carries
     source_program to target_program: on every input tuple, the target
     program run on the encoded inputs gives the encoded source result."""
@@ -214,8 +212,7 @@ class SimulationCase:
         return report
 
 
-@dataclass(frozen=True)
-class WeakEquivalenceCase:
+class WeakEquivalenceCase(NamedTuple):
     """One direction of weak equivalence between m1 and m2: the round
     trip rho2(rho1(x)) through the decoding rho1 (m2 values to m1 values)
     and the encoding rho2 (back again) is computed inside m2 by the

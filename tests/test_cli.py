@@ -1,8 +1,9 @@
 """End-to-end tests for the command line interface.
 
-Every test drives `sfcalc.cli.main` with injected stdout/stderr, so the
-suite checks the same code path as the installed console script without
-spawning subprocesses.
+Every test but one drives `sfcalc.cli.main` with injected stdout/stderr,
+so the suite checks the same code path as the installed console script
+without spawning subprocesses.  The one exception runs `python -m sfcalc`
+in a fresh interpreter and checks what it imports.
 """
 
 from __future__ import annotations
@@ -10,9 +11,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import io
+import os
 import re
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -529,6 +533,22 @@ class TestDemo:
         code, out, err = run("demo", "turing-equality")
         assert code == EXIT_OK
         assert "within its declared" in out
+
+    def test_python_m_sfcalc_matches_main_and_generates_no_code(self):
+        # Modules the interpreter imports at start-up (site, .pth files)
+        # are not sfcalc's, so they are taken out of the count.
+        def imported(*argv: str) -> tuple[subprocess.CompletedProcess, set[str]]:
+            env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+            proc = subprocess.run([sys.executable, "-X", "importtime", *argv], env=env,
+                                  capture_output=True, text=True, timeout=60)
+            return proc, {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                          if line.startswith("import time:")}
+
+        proc, modules = imported("-m", "sfcalc", "demo", "turing-equality")
+        modules -= imported("-c", "pass")[1]
+        assert (proc.returncode, proc.stdout) == run("demo", "turing-equality")[:2]
+        assert "sfcalc.cli" in modules and "sfcalc.turing" in modules
+        assert not modules & {"dataclasses", "inspect"}
 
 
 class TestSharedTables:

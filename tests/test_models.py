@@ -184,6 +184,20 @@ _SUMMARY_SHAPES: list[RecFn] = [
 ]
 
 
+def _spell(f: RecFn) -> str:
+    """The program written out in full, as a test id."""
+    if isinstance(f, Proj):
+        return f"Proj(i={f.i}, k={f.k})"
+    if isinstance(f, Comp):
+        inners = ", ".join(map(_spell, f.inners)) + ("," if len(f.inners) == 1 else "")
+        return f"Comp(outer={_spell(f.outer)}, inners=({inners}))"
+    if isinstance(f, PrimRec):
+        return f"PrimRec(base={_spell(f.base)}, step={_spell(f.step)})"
+    if isinstance(f, Mu):
+        return f"Mu(body={_spell(f.body)})"
+    return f"{type(f).__name__}()"
+
+
 class TestEvalRecAgainstOracle:
     """The compiled closures against the plain recursive interpreter in
     tests/rec_oracle.py: the whole RecOutcome, evaluation count included,
@@ -224,7 +238,7 @@ class TestEvalRecAgainstOracle:
         assert reference_eval_rec(never_zero, [0], 10**6) == want
         assert eval_rec(never_zero, [0], 10**6) == want
 
-    @pytest.mark.parametrize("f", _SUMMARY_SHAPES, ids=repr)
+    @pytest.mark.parametrize("f", _SUMMARY_SHAPES, ids=_spell)
     def test_loops_over_a_summary(self, f):
         # Recursion arguments up to 200, and a budget sweep through the
         # whole evaluation, so that stops land inside the block of turns

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -97,6 +98,20 @@ class TestRunMachine:
         run = run_machine(EQUALITY_MACHINE, "AS#AS")
         assert run.status == "accept"
         assert run.word == "XX#XX"  # matched symbols get marked
+
+    def test_final_word_costs_a_few_bytes_per_cell(self):
+        # A machine that writes a fresh cell on every step: the tape, its
+        # mirror and the decoded word must not take one object per cell.
+        spec = parse_machine("start a\naccept b\nreject c\n"
+                             "a K -> d K R\na _ -> d K R\nd _ -> a K R\n")
+        tracemalloc.start()
+        try:
+            run = run_machine(spec, "K", budget=50_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert run == ("budget", 50_000, "K" * 50_000)
+        assert peak / len(run.word) <= 8
 
 
 class TestEqualityMachine:
