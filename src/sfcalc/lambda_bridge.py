@@ -21,7 +21,7 @@ parentheses group; e.g. ``\\\\1 0`` is the term taking f then x to f x.
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, TypeVar, Union
 
 from .terms import App, Calculus, F, K, S, Term, Var, dag_postorder
 
@@ -30,21 +30,19 @@ from .terms import App, Calculus, F, K, S, Term, Var, dag_postorder
 
 
 class _LambdaNode:
-    """λ-terms are immutable and compare and hash by structure, over
-    their slots.  The repr of a λ-term is its text."""
+    """λ-terms are immutable and compare and hash by their text, which
+    `render_lambda` writes without recursing and `parse_lambda` reads
+    back as the same term.  The repr of a λ-term is its text."""
 
     __slots__ = ()
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return self._fields() == other._fields()  # type: ignore[attr-defined]
+        return self is other or render_lambda(self) == render_lambda(other)  # type: ignore[arg-type]
 
     def __hash__(self) -> int:
-        return hash(self._fields())
+        return hash(render_lambda(self))  # type: ignore[arg-type]
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -79,20 +77,37 @@ class LApp(_LambdaNode):
 
 
 LambdaTerm = Union[Index, Lam, LApp]
+_T = TypeVar("_T")
+
+
+def _fold(t: LambdaTerm, index: Callable[[Index, int], _T],
+          lam: Callable[[_T, int], _T], lapp: Callable[[_T, _T], _T]) -> _T:
+    """t rebuilt bottom-up without recursion: an Index under d binders
+    becomes index(u, d), a binder with d binders above it lam(body, d),
+    and an application lapp(fun, arg)."""
+    done: list[_T] = []
+    stack: list[tuple[LambdaTerm, int, bool]] = [(t, 0, False)]
+    while stack:
+        u, d, after = stack.pop()
+        if isinstance(u, Index):
+            done.append(index(u, d))
+        elif not after:
+            stack.append((u, d, True))
+            if isinstance(u, Lam):
+                stack.append((u.body, d + 1, False))
+            else:
+                stack += [(u.arg, d, False), (u.fun, d, False)]
+        elif isinstance(u, Lam):
+            done.append(lam(done.pop(), d))
+        else:
+            arg = done.pop()
+            done.append(lapp(done.pop(), arg))
+    return done[0]
 
 
 def lam_closed(t: LambdaTerm) -> bool:
     """Closed iff every Index n sits under more than n enclosing Lams."""
-    stack = [(t, 0)]
-    while stack:
-        u, d = stack.pop()
-        if isinstance(u, Lam):
-            stack.append((u.body, d + 1))
-        elif isinstance(u, LApp):
-            stack += [(u.fun, d), (u.arg, d)]
-        elif u.n >= d:
-            return False
-    return True
+    return _fold(t, lambda u, d: u.n < d, lambda body, d: body, lambda f, a: f and a)
 
 
 # --- surface syntax ----------------------------------------------------------
@@ -172,41 +187,45 @@ def render_lambda(t: LambdaTerm) -> str:
 # --- beta-reduction ----------------------------------------------------------
 
 
-def _shift(t: LambdaTerm, d: int, cutoff: int) -> LambdaTerm:
-    if isinstance(t, Index):
-        return Index(t.n + d) if t.n >= cutoff else t
-    if isinstance(t, Lam):
-        return Lam(_shift(t.body, d, cutoff + 1))
-    return LApp(_shift(t.fun, d, cutoff), _shift(t.arg, d, cutoff))
+def _map_indices(t: LambdaTerm, index: Callable[[Index, int], LambdaTerm]) -> LambdaTerm:
+    return _fold(t, index, lambda body, d: Lam(body), LApp)
 
 
-def _subst(t: LambdaTerm, j: int, s: LambdaTerm) -> LambdaTerm:
-    """t with index j replaced by s and the indices above j decremented."""
-    if isinstance(t, Index):
-        if t.n == j:
-            return _shift(s, j, 0)
-        return Index(t.n - 1) if t.n > j else t
-    if isinstance(t, Lam):
-        return Lam(_subst(t.body, j + 1, s))
-    return LApp(_subst(t.fun, j, s), _subst(t.arg, j, s))
+def _contract(body: LambdaTerm, s: LambdaTerm) -> LambdaTerm:
+    """(λ body) s contracted: index d under d binders becomes s, shifted
+    over those binders, and the indices above it drop by one."""
+
+    def at(u: Index, d: int) -> LambdaTerm:
+        if u.n == d:
+            return _map_indices(s, lambda v, e: Index(v.n + d) if v.n >= e else v)
+        return Index(u.n - 1) if u.n > d else u
+
+    return _map_indices(body, at)
 
 
 def _beta_step(t: LambdaTerm) -> Optional[LambdaTerm]:
-    """Leftmost-outermost beta-step, reducing under binders."""
-    if isinstance(t, LApp):
-        if isinstance(t.fun, Lam):
-            return _subst(t.fun.body, 0, t.arg)
-        fun = _beta_step(t.fun)
-        if fun is not None:
-            return LApp(fun, t.arg)
-        arg = _beta_step(t.arg)
-        if arg is not None:
-            return LApp(t.fun, arg)
+    """Leftmost-outermost beta-step, reducing under binders: the first
+    redex in pre-order, function before argument."""
+    # Each entry links a node to its parent: (parent, is_arg, parent's link).
+    stack: list[tuple[LambdaTerm, Optional[tuple]]] = [(t, None)]
+    while stack:
+        u, link = stack.pop()
+        if isinstance(u, LApp):
+            if isinstance(u.fun, Lam):
+                break
+            stack += [(u.arg, (u, True, link)), (u.fun, (u, False, link))]
+        elif isinstance(u, Lam):
+            stack.append((u.body, (u, False, link)))
+    else:
         return None
-    if isinstance(t, Lam):
-        body = _beta_step(t.body)
-        return None if body is None else Lam(body)
-    return None
+    new = _contract(u.fun.body, u.arg)
+    while link is not None:
+        parent, is_arg, link = link
+        if isinstance(parent, Lam):
+            new = Lam(new)
+        else:
+            new = LApp(parent.fun, new) if is_arg else LApp(new, parent.arg)
+    return new
 
 
 class LambdaStatus(enum.Enum):
@@ -280,30 +299,13 @@ def bracket_abstract(t: LambdaTerm, calc: Calculus) -> Term:
     if not lam_closed(t):
         raise ValueError("bracket abstraction is defined on closed terms only")
     leaf_bound = 3 + i_term(calc).size
-    # Post-order over (node, binders above it, children done); binder d binds v<d>.
-    done: list[Term] = []
-    stack: list[tuple[LambdaTerm, int, bool]] = [(t, 0, False)]
-    while stack:
-        u, depth, after = stack.pop()
-        if isinstance(u, Index):
-            done.append(Var(f"v{depth - 1 - u.n}"))
-        elif not after:
-            stack.append((u, depth, True))
-            if isinstance(u, Lam):
-                stack.append((u.body, depth + 1, False))
-            else:
-                stack += [(u.arg, depth, False), (u.fun, depth, False)]
-        elif isinstance(u, Lam):
-            body = done.pop()
-            if leaf_bound * (body.size + 1) // 2 > MAX_ABSTRACTION_NODES:
-                raise ValueError(
-                    f"the translation would pass {MAX_ABSTRACTION_NODES:,} nodes"
-                )
-            done.append(abstract(f"v{depth}", body, calc, optimized=False))
-        else:
-            arg = done.pop()
-            done.append(App(done.pop(), arg))
-    return done[0]
+
+    def lam(body: Term, depth: int) -> Term:  # binder d binds v<d>
+        if leaf_bound * (body.size + 1) // 2 > MAX_ABSTRACTION_NODES:
+            raise ValueError(f"the translation would pass {MAX_ABSTRACTION_NODES:,} nodes")
+        return abstract(f"v{depth}", body, calc, optimized=False)
+
+    return _fold(t, lambda u, depth: Var(f"v{depth - 1 - u.n}"), lam, App)
 
 
 def church_lambda(n: int) -> LambdaTerm:

@@ -537,25 +537,13 @@ class CheckRow(NamedTuple):
     verdict: str
 
 
-class CheckReport:
+class CheckReport(NamedTuple):
     """A table of per-input comparisons.  Verdict `ok` means agreement,
     `skipped` means the comparison was inconclusive on the source side;
     everything else is a violation."""
 
-    __slots__ = ("name", "rows")
-    __hash__ = None  # type: ignore[assignment]  # rows is mutable
-
-    def __init__(self, name: str, rows: Optional[list[CheckRow]] = None) -> None:
-        self.name = name
-        self.rows = [] if rows is None else rows
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not CheckReport:
-            return NotImplemented
-        return (self.name, self.rows) == (other.name, other.rows)
-
-    def __repr__(self) -> str:
-        return f"CheckReport(name={self.name!r}, rows={self.rows!r})"
+    name: str
+    rows: list[CheckRow]
 
     @property
     def violations(self) -> list[CheckRow]:

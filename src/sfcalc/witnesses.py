@@ -196,7 +196,7 @@ class SimulationCase(NamedTuple):
         """Source budget exhaustion skips the row; target disagreement,
         budget exhaustion, or undefinedness against a defined source is
         a violation."""
-        report = CheckReport(self.name)
+        report = CheckReport(self.name, [])
         for xs in self.inputs:
             shown = _show_args(xs)
             sres = self.source.apply(self.source_program, list(xs))
@@ -228,7 +228,7 @@ class WeakEquivalenceCase(NamedTuple):
     inputs: tuple[object, ...]
 
     def run(self) -> CheckReport:
-        report = CheckReport(self.name)
+        report = CheckReport(self.name, [])
         for x in self.inputs:
             if not self.m2.contains(x):
                 raise ValueError(f"input {show_value(x)} is not in {self.m2.name}'s domain")

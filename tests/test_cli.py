@@ -3,12 +3,14 @@
 Every test but one drives `sfcalc.cli.main` with injected stdout/stderr,
 so the suite checks the same code path as the installed console script
 without spawning subprocesses.  The one exception runs `python -m sfcalc`
-in a fresh interpreter and checks what it imports.
+and `import sfcalc.terms` in fresh interpreters and checks what they
+import.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
 import io
 import os
@@ -549,6 +551,14 @@ class TestDemo:
         assert (proc.returncode, proc.stdout) == run("demo", "turing-equality")[:2]
         assert "sfcalc.cli" in modules and "sfcalc.turing" in modules
         assert not modules & {"dataclasses", "inspect"}
+        # The package re-exports nothing, so one module loads only its own
+        # imports; a term's repr still reaches `syntax` when it is called.
+        proc, _ = imported("-c", "import sys, sfcalc.terms as t; print(sorted("
+                           "m for m in sys.modules if m.split('.')[0] == 'sfcalc'));"
+                           "print(repr(t.App(t.S, t.K)))")
+        assert proc.stdout.splitlines() == ["['sfcalc', 'sfcalc.terms']", "SK"]
+        package = ast.parse((Path(__file__).parent.parent / "src/sfcalc/__init__.py").read_text())
+        assert len(package.body) == 1 and ast.get_docstring(package)
 
 
 class TestSharedTables:

@@ -29,6 +29,7 @@ from sfcalc.reduction import Status, extensionally_agree, normalize
 from sfcalc.stdlib import church
 from sfcalc.syntax import parse
 from sfcalc.terms import App, Calculus, K, S, Var, app
+from lambda_oracle import reference_beta_normalize, structure
 
 SK = Calculus.SK
 SF = Calculus.SF
@@ -112,6 +113,7 @@ class TestParseRender:
     @given(lambda_terms_st())
     def test_roundtrip(self, t):
         assert parse_lambda(render_lambda(t)) == t
+        assert structure(parse_lambda(render_lambda(t))) == structure(t)
 
 
 class TestBeta:
@@ -145,6 +147,62 @@ class TestBeta:
             c = church_lambda(n)
             out = beta_normalize(c)
             assert out.term == c and out.steps_taken == 0
+
+
+def random_closed_lambda(rng: random.Random, size: int, depth: int = 0):
+    """A closed λ-term of exactly `size` nodes (size >= 2), whose indices
+    point at binders in scope."""
+    if size == 1:
+        return Index(rng.randrange(depth))
+    least = 1 if depth else 2  # a closed part needs a binder
+    if size >= 2 * least + 1 and rng.random() < 0.6:
+        left = rng.randint(least, size - 1 - least)
+        return LApp(random_closed_lambda(rng, left, depth),
+                    random_closed_lambda(rng, size - 1 - left, depth))
+    return Lam(random_closed_lambda(rng, size - 1, depth + 1))
+
+
+class TestBetaAgainstOracle:
+    """`beta_normalize` walks explicit stacks; tests/lambda_oracle.py is
+    the recursive normalizer it replaced.  Both must agree on status,
+    result text and step count at every budget, budget stops included."""
+
+    BUDGETS = (0, 1, 2, 5, 50, 10_000)
+
+    def assert_agrees(self, t):
+        for budget in self.BUDGETS:
+            got, want = beta_normalize(t, budget), reference_beta_normalize(t, budget)
+            assert (got.status, render_lambda(got.term), got.steps_taken) == (
+                want.status, render_lambda(want.term), want.steps_taken), (t, budget)
+
+    def test_every_small_closed_term(self):
+        terms = enumerate_closed_lambda(7)
+        assert len(terms) == 201
+        for t in terms:
+            self.assert_agrees(t)
+
+    def test_seeded_random_closed_terms(self):
+        rng = random.Random(2014)
+        terms = [random_closed_lambda(rng, rng.randint(4, 12)) for _ in range(200)]
+        assert all(lam_closed(t) for t in terms)
+        for t in terms:
+            self.assert_agrees(t)
+        # The sample reaches budget stops, not only normal forms.
+        assert any(reference_beta_normalize(t, 50).status is LambdaStatus.BUDGET
+                   for t in terms)
+
+    def test_deep_normal_form_needs_no_step(self):
+        t = parse_lambda("λ" + "0 (" * 2000 + "0" + ")" * 2000)
+        out = beta_normalize(t)
+        assert out.status is LambdaStatus.NORMAL and out.steps_taken == 0
+        assert out.term == t
+
+    def test_deep_redex_reduces(self):
+        # A redex 2,000 binders down: found, contracted and rebuilt.
+        t = parse_lambda("λ" * 2000 + "(λ0) 0")
+        out = beta_normalize(t)
+        assert (out.status, out.steps_taken) == (LambdaStatus.NORMAL, 1)
+        assert render_lambda(out.term) == "\\" * 2000 + "0"
 
 
 class TestBracketAbstraction:

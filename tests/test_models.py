@@ -511,7 +511,7 @@ class TestShowValue:
 
 class TestReports:
     def test_report_counts_and_render(self):
-        report = CheckReport("demo")
+        report = CheckReport("demo", [])
         report.rows.append(CheckRow("a", "1", "1", "ok"))
         report.rows.append(CheckRow("b", "-", "-", "skipped"))
         report.rows.append(CheckRow("c", "1", "2", "mismatch"))
@@ -521,7 +521,7 @@ class TestReports:
         assert text.splitlines()[0].split() == ["input", "lhs", "rhs", "verdict"]
 
     def test_report_tsv(self):
-        report = CheckReport("demo")
+        report = CheckReport("demo", [])
         report.rows.append(CheckRow("a", "1", "1", "ok"))
         lines = report.to_tsv().splitlines()
         assert lines[0] == "input\tlhs\trhs\tverdict"

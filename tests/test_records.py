@@ -3,7 +3,8 @@ immutability and the printed reprs.
 
 Outcome and report records are named tuples and compare by their fields;
 machine specs and recursive-function nodes compare by identity; λ-terms
-compare by structure; a check report stays mutable.
+compare and hash by their text; a check report's list of rows stays
+mutable.
 """
 
 from __future__ import annotations
@@ -12,7 +13,16 @@ from typing import Callable
 
 import pytest
 
-from sfcalc.lambda_bridge import Index, LApp, Lam, LambdaOutcome, beta_normalize, parse_lambda
+from sfcalc.lambda_bridge import (
+    Index,
+    LApp,
+    Lam,
+    LambdaOutcome,
+    beta_normalize,
+    enumerate_closed_lambda,
+    parse_lambda,
+    render_lambda,
+)
 from sfcalc.models import (
     SUCC,
     ZERO,
@@ -94,10 +104,13 @@ def test_equality_hash_and_immutability(cls, make, field, equality):
     assert type(a) is cls and a is not b and a == a
     if equality == "identity":
         assert a != b and hash(a) == hash(a)
-    elif field is None:  # a check report: equal by fields, unhashable, mutable
-        assert a == b
+    elif field is None:  # a check report: equal by fields, unhashable, mutable rows
+        assert a == b == ("demo", [CheckRow("0", "0", "0", "ok")])
         with pytest.raises(TypeError):
             hash(a)
+        for name in ("name", "rows"):
+            with pytest.raises(AttributeError):
+                setattr(a, name, None)
         a.rows.append(CheckRow("1", "1", "1", "ok"))  # type: ignore[attr-defined]
         assert a != b
     else:
@@ -154,3 +167,26 @@ def test_deep_recursive_programs_print_hash_and_compare():
     assert repr(f) == "<Comp of arity 1>"
     assert hash(f) == hash(f)
     assert f == f and f != g
+
+
+def test_lambda_terms_compare_and_hash_by_their_text():
+    terms = enumerate_closed_lambda(6)
+    assert len(set(terms)) == len(terms)
+    for t in terms:
+        copy = parse_lambda(render_lambda(t))
+        assert copy is not t and copy == t and hash(copy) == hash(t)
+    # A node never equals a node of another type.
+    nodes = [Index(0), Lam(Index(0)), LApp(Index(0), Index(0))]
+    for i, a in enumerate(nodes):
+        for j, b in enumerate(nodes):
+            assert (a == b) is (i == j) and (a != b) is (i != j)
+    assert Index(0) != 0 and Lam(Index(0)) != "\\0"
+
+
+def test_deep_lambda_terms_compare_and_hash():
+    # Equality and hashing go through the text, which renders without
+    # recursing, so a term 2,000 applications deep is no problem.
+    text = "λ" + "0 (" * 2000 + "0" + ")" * 2000
+    a, b = parse_lambda(text), parse_lambda(text)
+    assert a == b and hash(a) == hash(b)
+    assert a != parse_lambda(text[:-1] + " 0)")
