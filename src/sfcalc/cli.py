@@ -9,7 +9,8 @@ Subcommands:
   SF normal forms (optionally the code-comparing variant).
 * godel: code of a closed term, or the term for a code (--decode);
   codes past `models.MAX_CODE_DIGITS` digits are refused.
-* polish: Polish word of a closed term, or the term for a word (--decode).
+* polish: Polish word of a closed term, or the term for a word (--decode);
+  words past `syntax.MAX_POLISH_LETTERS` letters are refused.
 * lambda: translate a de Bruijn lambda term into the calculus; a
   translation that could pass `lambda_bridge.MAX_ABSTRACTION_NODES`
   nodes is refused.
@@ -20,8 +21,8 @@ Subcommands:
 * demo NAME: scripted walkthroughs, each with only the options it reads;
   byte-reproducible output.
 
-Exit codes: 0 success, 1 error or failed check, 2 usage, 3 budget
-exhausted.
+Exit codes: 0 success, 1 error, failed check or out of memory, 2 usage,
+3 budget exhausted.
 
 Terms on the command line may use the names of the combinator catalog
 (`stdlib.build_catalog`); `--prelude FILE` adds bindings of the form
@@ -544,6 +545,9 @@ def main(
         return EXIT_USAGE
     except (OSError, ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=err)
+        return EXIT_ERROR
+    except MemoryError:  # its message is usually empty
+        print("error: out of memory", file=err)
         return EXIT_ERROR
 
 

@@ -22,10 +22,11 @@ first argument to stabilize is such a frame too, flagged as deferred.
 Applicative order is a walk over a zipper of pending ancestors that,
 after each step, resumes at the contractum instead of rescanning from
 the root (refocusing).  When tracing, both engines record each Step
-(path, rule, redex, contractum) as it fires, without building the whole
-term.  The test suite keeps plain root-rescanning steppers for both
-strategies as reference oracles and checks both engines against them
-step by step.
+(its path as the L/R text that `render_trace` prints, rule, redex,
+contractum) as it fires, without building the whole term.  The test
+suite keeps plain root-rescanning steppers for both strategies, with
+their own statement of the rules, as reference oracles and checks both
+engines against them step by step.
 
 Untraced normal order is call by need within one call: the S-rule
 copies its third argument before it is normal, and the machine reduces
@@ -71,10 +72,10 @@ class Status(enum.Enum):
 
 
 class Step(NamedTuple):
-    """One rewrite: where it fired, by which rule, the redex it fired on
-    and the contractum that replaced it there."""
+    """One rewrite: where it fired, as the path `render_trace` prints, by
+    which rule, the redex it fired on and the contractum put there."""
 
-    path: tuple[int, ...]  # 0 = into fun, 1 = into arg
+    path: str  # L = into fun, R = into arg; "" at the root
     rule: str
     redex: Term
     contractum: Term
@@ -165,8 +166,7 @@ def _applicative_normalize(
                     return _plug(stack, w), steps, False, tuple(trail)
                 steps += 1
                 if trace:
-                    path = tuple(frame[0] for frame in stack)
-                    trail.append(Step(path, hit[0], w, hit[1]))
+                    trail.append(Step("".join("LR"[f[0]] for f in stack), hit[0], w, hit[1]))
                 rule, w = hit
                 if rule == RULE_S:  # x z (y z): check y z, x z, the whole
                     stack.append((1, w, True))
@@ -203,14 +203,9 @@ def _rebuild(stack: list, w: Term) -> Term:
     return w
 
 
-def _path(stack: list, extras: list) -> tuple[int, ...]:
+def _path(stack: list, extras: list) -> str:
     """Path from the root to the redex under the working term's extras."""
-    path: list[int] = []
-    for frame in stack:
-        path += [0] * (len(frame[1]) - 1 - frame[2])
-        path.append(1)
-    path += [0] * len(extras)
-    return tuple(path)
+    return "".join("L" * (len(f[1]) - 1 - f[2]) + "R" for f in stack) + "L" * len(extras)
 
 
 def _machine_normalize(
@@ -353,12 +348,6 @@ def _blocked_f_positions(t: Term) -> bool:
     )
 
 
-def _finish(t: Term, steps_taken: int, steps: tuple[Step, ...]) -> ReduceOutcome:
-    if _blocked_f_positions(t):
-        return ReduceOutcome(Status.STUCK, t, steps_taken, steps, "varheaded-f")
-    return ReduceOutcome(Status.NORMAL, t, steps_taken, steps)
-
-
 def normalize(
     t: Term,
     calc: Calculus,
@@ -375,14 +364,16 @@ def normalize(
     check_calculus(t, calc)
     run = _machine_normalize if strategy is Strategy.NORMAL else _applicative_normalize
     term, n, finished, steps = run(t, budget, trace)
-    if finished:
-        return _finish(term, n, steps)
-    return ReduceOutcome(Status.BUDGET, term, n, steps)
+    if not finished:
+        return ReduceOutcome(Status.BUDGET, term, n, steps)
+    if _blocked_f_positions(term):
+        return ReduceOutcome(Status.STUCK, term, n, steps, "varheaded-f")
+    return ReduceOutcome(Status.NORMAL, term, n, steps)
 
 
 def render_trace(steps: Iterable[Step]) -> str:
     """One line per step: "<n> <rule> @ <path> : <redex> => <contractum>",
-    the path spelled with L (fun) and R (arg), or ε for the root.  A
+    with the step's L/R path as it is stored, or ε for the root.  A
     redex or contractum past `syntax.MAX_PRINT_NODES` nodes is shown as
     its size and hash.  All sides are printed in one `render_terms` call,
     so a subterm shared between steps (the x, y and z of an S-rule turn
@@ -392,8 +383,7 @@ def render_trace(steps: Iterable[Step]) -> str:
     sides = render_terms(t for s in steps for t in (s.redex, s.contractum))
     lines = []
     for i, s in enumerate(steps):
-        at = "".join("R" if d else "L" for d in s.path) or "ε"
-        lines.append(f"{i + 1} {s.rule} @ {at} : {sides[2 * i]} => {sides[2 * i + 1]}")
+        lines.append(f"{i + 1} {s.rule} @ {s.path or 'ε'} : {sides[2 * i]} => {sides[2 * i + 1]}")
     return "\n".join(lines)
 
 

@@ -195,10 +195,18 @@ def render_capped(t: Term) -> str:
 # --- Polish-notation codec ---------------------------------------------------
 
 
+#: The most letters of a Polish word, one per node: `to_polish` refuses
+#: a larger term before it walks, as `godel` refuses a longer code.
+MAX_POLISH_LETTERS = 2_000_000
+
+
 def to_polish(t: Term) -> str:
-    """Preorder word with A for application; defined on closed terms only."""
+    """Preorder word with A for application; defined on closed terms of
+    at most MAX_POLISH_LETTERS nodes only."""
     if not t.closed:
         raise ValueError("Polish encoding is defined on closed terms only")
+    if t.size > MAX_POLISH_LETTERS:
+        raise ValueError(f"the Polish word has more than {MAX_POLISH_LETTERS:,} letters")
     out: list[str] = []
     stack = [t]
     while stack:

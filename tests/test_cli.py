@@ -1,10 +1,11 @@
 """End-to-end tests for the command line interface.
 
-Every test but one drives `sfcalc.cli.main` with injected stdout/stderr,
+Every test but two drives `sfcalc.cli.main` with injected stdout/stderr,
 so the suite checks the same code path as the installed console script
-without spawning subprocesses.  The one exception runs `python -m sfcalc`
+without spawning subprocesses.  One exception runs `python -m sfcalc`
 and `import sfcalc.terms` in fresh interpreters and checks what they
-import.
+import; the other runs `main` in a child process that limits its own
+memory.
 """
 
 from __future__ import annotations
@@ -22,6 +23,11 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 from sfcalc.cli import (
     EXIT_BUDGET,
@@ -144,6 +150,20 @@ class TestReduceAndTrace:
         assert lines[0] == "1 S-rule @ ε : SKKS => KS(KS)"
         assert lines[1].startswith("2 K-rule @ ")
         assert lines[-1] == "S"
+
+    @pytest.mark.skipif(not hasattr(resource, "RLIMIT_AS"), reason="no address-space limit")
+    def test_out_of_memory_is_an_error_line(self):
+        # Unlimited, this trace peaks at about 1.8 GiB; the child process
+        # caps its own address space at 1 GiB before it starts.
+        script = ("import resource, sys\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                  "from sfcalc.cli import main\n"
+                  "sys.exit(main(['trace', '--budget', '20000', 'godelize (S (S F) F)']))\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            EXIT_ERROR, "", "error: out of memory\n")
 
     def test_trace_of_normal_form_prints_only_the_term(self):
         code, out, err = run("trace", "S")
@@ -302,6 +322,21 @@ class TestPolish:
         code, out, err = run("polish", "x")
         assert code == EXIT_ERROR
         assert "closed terms" in err
+
+    def test_word_past_the_letter_limit_is_refused_quickly(self, tmp_path):
+        # a_i is a_{i-1} applied to itself, so its word has 2^(i+2) - 1
+        # letters: a40's would be about 4.4 TB.
+        path = tmp_path / "doubling.sf"
+        path.write_text("let a0 = SS;\n" + "".join(f"let a{i} = a{i - 1} a{i - 1};\n"
+                                                    for i in range(1, 41)))
+        start = time.perf_counter()
+        code, out, err = run("polish", "--prelude", str(path), "a40")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == "error: the Polish word has more than 2,000,000 letters\n"
+        code, out, err = run("polish", "--prelude", str(path), "a18")
+        assert (code, err, len(out)) == (EXIT_OK, "", 1_048_575 + 1)
+        assert out.startswith("A" * 19 + "SS")
 
 
 class TestLambda:
@@ -795,6 +830,13 @@ class TestPrelude:
         code, out, err = run("reduce", "i", "--prelude", str(path))
         assert (code, out) == (EXIT_OK, "S\n")
         assert "warning: rebinding i" in err
+
+    def test_rebound_eq_with_an_unexpected_result_is_an_error(self, tmp_path):
+        path = tmp_path / "extra.sf"
+        path.write_text("let eq = S;\n")
+        code, out, err = run("eq", "--prelude", str(path), "S", "F")
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == "warning: rebinding eq\nerror: unexpected result SSF\n"
 
     def test_open_binding_rejected(self, tmp_path):
         path = tmp_path / "extra.sf"

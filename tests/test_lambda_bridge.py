@@ -148,6 +148,10 @@ class TestBeta:
             out = beta_normalize(c)
             assert out.term == c and out.steps_taken == 0
 
+    def test_church_numerals_encode_naturals_only(self):
+        with pytest.raises(ValueError, match="Church numerals encode naturals only"):
+            church_lambda(-1)
+
 
 def random_closed_lambda(rng: random.Random, size: int, depth: int = 0):
     """A closed λ-term of exactly `size` nodes (size >= 2), whose indices

@@ -68,6 +68,8 @@ class TestRecArity:
         add = PrimRec(Proj(1, 1), Comp(SUCC, (Proj(2, 3),)))
         with pytest.raises(ArityError, match="outer arity 2 != 1 inner functions"):
             Comp(add, (SUCC,))
+        with pytest.raises(ArityError, match="composition needs at least one inner function"):
+            Comp(SUCC, ())
         with pytest.raises(ArityError, match=r"inner functions disagree on arity: \[1, 2\]"):
             Comp(add, (SUCC, add))
         with pytest.raises(ArityError, match="projection index 3 out of range 1..2"):
@@ -585,4 +587,7 @@ class TestReports:
         rec = recursive_model()
         case = WeakEquivalenceCase("bad", "", rec, rec, lambda x: x, lambda x: x, SUCC, (-5,))
         with pytest.raises(ValueError, match="input -5 is not in recursive's domain"):
+            case.run()
+        case = WeakEquivalenceCase("bad", "", rec, rec, lambda x: -x, lambda x: x, SUCC, (0, 5))
+        with pytest.raises(ValueError, match="decoding of 5 is not in recursive's domain"):
             case.run()

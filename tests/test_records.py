@@ -124,10 +124,10 @@ def test_equality_hash_and_immutability(cls, make, field, equality):
 REPRS = [
     (lambda: normalize(parse("S K K x", SK), SK, trace=True),
      "ReduceOutcome(status=<Status.NORMAL: 'normal'>, term=x, steps_taken=2, "
-     "steps=(Step(path=(), rule='S-rule', redex=SKKx, contractum=Kx(Kx)), "
-     "Step(path=(), rule='K-rule', redex=Kx(Kx), contractum=x)), reason=None)"),
+     "steps=(Step(path='', rule='S-rule', redex=SKKx, contractum=Kx(Kx)), "
+     "Step(path='', rule='K-rule', redex=Kx(Kx), contractum=x)), reason=None)"),
     (lambda: normalize(parse("S K K x", SK), SK, trace=True).steps[0],
-     "Step(path=(), rule='S-rule', redex=SKKx, contractum=Kx(Kx))"),
+     "Step(path='', rule='S-rule', redex=SKKx, contractum=Kx(Kx))"),
     (lambda: normalize(parse("F x S S", SF), SF),
      "ReduceOutcome(status=<Status.STUCK: 'stuck'>, term=FxSS, steps_taken=0, steps=(), "
      "reason='varheaded-f')"),

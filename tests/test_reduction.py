@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import random
 import re
+import sys
+import tracemalloc
 
 import pytest
 
@@ -141,19 +143,19 @@ class TestStepOnce:
     def test_normal_order_is_leftmost_outermost(self):
         t = parse("K S (K K S)", SK)
         step = first_step(t, SK)
-        assert step.rule == RULE_K and step.path == ()
+        assert step.rule == RULE_K and step.path == ""
         assert step.redex == t and step.contractum == S
 
     def test_applicative_order_reduces_arguments_first(self):
         t = parse("K S (K K S)", SK)
         step = first_step(t, SK, Strategy.APPLICATIVE)
-        assert step.path == (1,)
+        assert step.path == "R"
         assert step.redex == parse("K K S", SK) and step.contractum == K
 
     def test_normal_order_enters_unfactorable_f_argument(self):
         t = app(F, parse("SSSS", SF), Var("M"), Var("N"))
         step = first_step(t, SF)
-        assert step.rule == RULE_S and step.path == (0, 0, 1)
+        assert step.rule == RULE_S and step.path == "LLR"
         assert step.redex == parse("SSSS", SF)
 
 
@@ -264,25 +266,46 @@ class TestApplicativeAgainstOracle(TestMachineAgainstOracle):
                     self.check(substitute(parse(f"{op} c{x} c{y}", calc), names), calc)
 
 
+def reduction_line_events(fn, *args):
+    """fn(*args) and the number of line events that `sys.settrace` sees
+    in sfcalc/reduction.py during the call."""
+    events = 0
+
+    def local(frame, event, arg):
+        nonlocal events
+        if event == "line":
+            events += 1
+        return local
+
+    def on_call(frame, event, arg):
+        return local if frame.f_code.co_filename == reduction.__file__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        result = fn(*args)
+    finally:
+        sys.settrace(previous)
+    return result, events
+
+
 class TestApplicativeWork:
     @CALCS
-    def test_fire_checks_are_bounded_by_size_plus_three_per_step(self, calc, monkeypatch):
+    def test_fire_checks_are_bounded_by_size_plus_three_per_step(self, calc):
         # Each node of the input is checked once, and each step adds at
-        # most the three nodes an S-rule builds; a walk that rescans from
-        # the root after every step costs about steps x size instead.
-        t = substitute(parse("plus c2 c3", calc), load_default_prelude(calc))
-        checks = 0
-        fire = reduction._fire
-
-        def counting_fire(u):
-            nonlocal checks
-            checks += 1
-            return fire(u)
-
-        monkeypatch.setattr(reduction, "_fire", counting_fire)
-        out = normalize(t, calc, Strategy.APPLICATIVE)
-        assert out.status is Status.NORMAL and out.steps_taken > 50
-        assert checks <= t.size + 3 * out.steps_taken, (checks, t.size, out.steps_taken)
+        # most the three nodes an S-rule builds: about 10 lines of
+        # reduction.py run per unit of size + 3 x steps.  A walk that
+        # rescans from the root after every step costs about steps times
+        # more.
+        names = load_default_prelude(calc)
+        for op in ("plus", "times"):
+            for x in range(2, 6):
+                for y in range(2, 6):
+                    t = substitute(parse(f"{op} c{x} c{y}", calc), names)
+                    out, events = reduction_line_events(normalize, t, calc, Strategy.APPLICATIVE)
+                    assert out.status is Status.NORMAL and out.steps_taken > 50
+                    work = t.size + 3 * out.steps_taken
+                    assert events <= 16 * work, (op, x, y, events, work)
 
 
 def assert_memo_is_step_exact(t, calc, top):
@@ -356,6 +379,20 @@ class TestTrace:
         for line in lines:
             assert pattern.match(line), line
         assert lines[0].startswith("1 S-rule @ ε : SKKS => KS(KS)")
+
+    def test_traced_paths_cost_a_byte_a_letter(self):
+        # 2,000 steps with paths of up to 666 letters, 650,757 in all.
+        # With the terms, the trace holds about 6 MiB when a path letter
+        # is a byte of text, and 10 MiB when it is a tuple slot.
+        t = parse("S(SKK)(SKK)(S(SS)(SS))", SK)
+        tracemalloc.start()
+        try:
+            out = normalize(t, SK, budget=2000, trace=True)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert out.steps_taken == 2000 and set("".join(s.path for s in out.steps)) == {"L", "R"}
+        assert held < 8 * 2**20, held
 
     def test_trace_empty_on_normal_forms(self):
         out = normalize(parse("S(KK)", SK), SK, trace=True)

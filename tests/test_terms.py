@@ -170,24 +170,24 @@ class TestSubstitute:
 
 
 def subterm_at(t, path):
-    """Subterm at a path of 0 (fun) / 1 (arg) choices from the root."""
+    """Subterm at a path of L (fun) / R (arg) choices from the root."""
     for step in path:
         if not isinstance(t, App):
             raise IndexError(f"path {path} leaves the term")
-        t = t.arg if step else t.fun
+        t = t.arg if step == "R" else t.fun
     return t
 
 
 class TestPaths:
     def test_replace_at_rebuilds_spine(self):
         t = App(App(S, K), F)
-        assert replace_at(t, (False, True), F) == App(App(S, F), F)
-        assert replace_at(t, (), K) == K
+        assert replace_at(t, "LR", F) == App(App(S, F), F)
+        assert replace_at(t, "", K) == K
 
     @given(st.integers(0, 2**32 - 1))
     def test_replace_roundtrip_random(self, seed):
         t = random_closed_term(Calculus.SF, 9, random.Random(seed))
-        for path in [(), (False,), (True,), (False, False)]:
+        for path in ["", "L", "R", "LL"]:
             try:
                 sub = subterm_at(t, path)
             except (IndexError, ValueError, TypeError):

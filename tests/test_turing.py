@@ -55,6 +55,10 @@ class TestParseMachine:
             parse_machine(BASE + "hello world\n")
         with pytest.raises(MachineError, match="line 6: duplicate transition"):
             parse_machine(BASE + "a A -> a A R\na A -> b A R\n")
+        with pytest.raises(MachineError, match="line 5: duplicate start header"):
+            parse_machine(BASE + "start b\n")
+        with pytest.raises(MachineError, match="line 5: tape symbols are single characters"):
+            parse_machine(BASE + "a AS -> b A R\n")
 
     def test_missing_headers(self):
         with pytest.raises(MachineError, match="missing header"):
@@ -166,6 +170,8 @@ class TestTuringModel:
         assert ok.status == "ok"
         rejected = model.apply(EQUALITY_MACHINE, ["S#F"])
         assert rejected.status == "undefined"
+        with pytest.raises(MachineError, match="turing programs are machine specs"):
+            model.apply(EQUALITY_MACHINE_TEXT, ["S#S"])
 
     def test_model_budget(self):
         model = turing_model(budget=2)
