@@ -60,7 +60,7 @@ from .reduction import (
     normalize,
     render_trace,
 )
-from .stdlib import build_catalog, catalog_terms
+from .stdlib import build_catalog
 from .syntax import from_polish, parse, render, render_capped, to_polish
 from .terms import Calculus, S, Term, app, free_vars, is_lowercase_name, substitute
 from .turing import (
@@ -136,7 +136,7 @@ def parse_prelude(
 def load_default_prelude(calc: Calculus) -> dict[str, Term]:
     """The combinator catalog's bindings for the calculus, as a new dict
     the caller may extend."""
-    return catalog_terms(build_catalog(calc))
+    return {name: entry.body for name, entry in build_catalog(calc).items()}
 
 
 def _load_bindings(args: argparse.Namespace, err: IO[str]) -> dict[str, Term]:

@@ -240,6 +240,8 @@ class LambdaOutcome(NamedTuple):
 
 
 def beta_normalize(t: LambdaTerm, budget: int = 10_000) -> LambdaOutcome:
+    """Normal-order beta steps up to budget (a negative budget counts as 0)."""
+    budget = max(budget, 0)
     current = t
     for taken in range(budget):
         nxt = _beta_step(current)

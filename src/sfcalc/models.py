@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .reduction import DEFAULT_BUDGET, Status, normalize
 from .syntax import render
-from .terms import ARITY, App, Atom, Calculus, S, Term, app, check_calculus
+from .terms import ARITY, App, Atom, Calculus, S, Term, app, atom, check_calculus
 
 # --- recursive functions --------------------------------------------------------
 
@@ -243,7 +243,8 @@ class RecOutcome(NamedTuple):
 def eval_rec(f: RecFn, args: Sequence[int], budget: int = DEFAULT_REC_BUDGET) -> RecOutcome:
     """Evaluate f on args.  Every node evaluation costs one unit of
     budget, so minimisation and deep recursion exhaust it instead of
-    hanging; a budget stop is ("budget", None, budget) wherever it falls.
+    hanging; a budget stop is ("budget", None, budget) wherever it falls,
+    and a negative budget counts as 0.
 
     f runs as the closures its nodes compiled when they were built (see
     above): one Python frame per nesting level of PrimRec, Mu and the
@@ -253,6 +254,7 @@ def eval_rec(f: RecFn, args: Sequence[int], budget: int = DEFAULT_REC_BUDGET) ->
     too) before its budget runs out raises ValueError."""
     if len(args) != f.arity:
         raise ArityError(f"expected {f.arity} arguments, got {len(args)}")
+    budget = max(budget, 0)
     left = [budget]
     try:
         value = f._closure()(tuple(args), left)
@@ -384,8 +386,7 @@ def gterm(n: int, calc: Calculus) -> Term | None:
     if n == 1:
         return S
     if n == 2:
-        other = next(iter(calc.operators - {"S"}))
-        return Atom(other)
+        return atom(next(iter(calc.operators - {"S"})))
     if n < 3:
         return None
     a, b = cantor_unpair(n - 3)
@@ -415,7 +416,7 @@ def enumerate_normal_forms(calc: Calculus, max_size: int) -> list[Term]:
 
 
 def _enumerate(calc: Calculus, max_size: int, normal: bool) -> list[Term]:
-    atoms = [Atom(o) for o in sorted(calc.operators)]
+    atoms = [atom(o) for o in sorted(calc.operators)]
     by_size: dict[int, list[Term]] = {1: atoms}
     for n in range(3, max_size + 1, 2):
         out: list[Term] = []
@@ -430,13 +431,15 @@ def _enumerate(calc: Calculus, max_size: int, normal: bool) -> list[Term]:
 def random_closed_term(calc: Calculus, size: int, rng: random.Random) -> Term:
     """A uniform-shape random closed term with exactly `size` nodes
     (size must be odd)."""
-    if size == 1:
-        return Atom(rng.choice(sorted(calc.operators)))
-    left = rng.randrange(1, size - 1, 2)
-    return App(
-        random_closed_term(calc, left, rng),
-        random_closed_term(calc, size - 1 - left, rng),
-    )
+    atoms = [atom(o) for o in sorted(calc.operators)]
+
+    def build(size: int) -> Term:
+        if size == 1:
+            return rng.choice(atoms)
+        left = rng.randrange(1, size - 1, 2)
+        return App(build(left), build(size - 1 - left))
+
+    return build(size)
 
 
 def build_probe_corpus(calc: Calculus, seed: int = 0) -> list[Term]:
@@ -558,10 +561,9 @@ class CheckReport(NamedTuple):
         return not self.violations
 
     def render(self) -> str:
-        header = ("input", "lhs", "rhs", "verdict")
-        table = [header] + [(r.input, r.lhs, r.rhs, r.verdict) for r in self.rows]
-        widths = [max(len(row[i]) for row in table) for i in range(4)]
-        lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
+        table = [CheckRow._fields, *self.rows]
+        widths = [max(map(len, column)) for column in zip(*table)]
+        lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
                  for row in table]
         summary = (
             f"{self.name}: {len(self.rows)} rows, "
@@ -570,7 +572,4 @@ class CheckReport(NamedTuple):
         return "\n".join(lines + [summary])
 
     def to_tsv(self) -> str:
-        lines = ["\t".join(("input", "lhs", "rhs", "verdict"))]
-        lines.extend("\t".join((r.input, r.lhs, r.rhs, r.verdict)) for r in self.rows)
-        return "\n".join(lines)
-
+        return "\n".join("\t".join(row) for row in [CheckRow._fields, *self.rows])

@@ -253,7 +253,3 @@ def build_catalog(calc: Calculus) -> Mapping[str, NamedCombinator]:
         )
 
     return MappingProxyType({entry.name: entry for entry in entries})
-
-
-def catalog_terms(catalog: Mapping[str, NamedCombinator]) -> dict[str, Term]:
-    return {name: entry.body for name, entry in catalog.items()}

@@ -32,63 +32,55 @@ class PolishError(ValueError):
 # --- parsing ---------------------------------------------------------------
 
 
-def _lex(text: str, calc: Calculus) -> list[tuple[int, str, str]]:
-    """Tokens as (position, kind, payload); kind in {'(', ')', 'atom', 'var'}."""
-    tokens: list[tuple[int, str, str]] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "()":
-            tokens.append((i, ch, ch))
-            i += 1
-        elif ch.isupper() and ch.isalpha():
-            if ch in ARITY:
-                if ch not in calc.operators:
-                    raise CalculusError(
-                        f"operator {ch} is illegal in {calc.name}-calculus"
-                        f" (at position {i})"
-                    )
-                tokens.append((i, "atom", ch))
-            else:
-                tokens.append((i, "var", ch))
-            i += 1
-        elif ch in NAME_CHARS and ch.isalpha():
-            j = i + 1
-            while j < n and text[j] in NAME_CHARS:
-                j += 1
-            tokens.append((i, "var", text[i:j]))
-            i = j
-        else:
-            raise ParseError(f"unexpected character {ch!r}", i)
-    return tokens
-
-
 def parse(text: str, calc: Calculus) -> Term:
-    """Parse term text; juxtaposition is left-associative application."""
-    tokens = _lex(text, calc)
+    """Parse term text; juxtaposition is left-associative application.
+
+    One pass, left to right.  An unexpected character (ParseError) or the
+    other calculus's operator letter (CalculusError) raises at once.  The
+    first misplaced parenthesis (ParseError) is held back to the end of
+    the text, so a fault of the first kind anywhere is reported before
+    it; then an unclosed '(' or empty input (ParseError).
+    """
     # One frame per open parenthesis: (position, term-so-far or None).
     frames: list[tuple[int, Term | None]] = []
     current: Term | None = None
-    for pos, kind, payload in tokens:
-        if kind == "(":
-            frames.append((pos, current))
+    fault: ParseError | None = None
+    ops = calc.operators
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        start, i = i, i + 1
+        if ch == "(":
+            frames.append((start, current))
             current = None
-        elif kind == ")":
-            if not frames:
-                raise ParseError("unbalanced ')'", pos)
-            if current is None:
-                raise ParseError("empty parentheses", pos)
-            _, outer = frames.pop()
-            current = current if outer is None else App(outer, current)
-        else:
-            leaf = atom(payload) if kind == "atom" else Var(payload)
+        elif ch == ")":
+            if frames and current is not None:
+                _, outer = frames.pop()
+                current = current if outer is None else App(outer, current)
+            elif fault is None:
+                fault = ParseError("empty parentheses" if frames else "unbalanced ')'", start)
+        elif not ch.isspace():
+            if ch in ops:
+                leaf: Term = atom(ch)
+            elif ch in ARITY:
+                raise CalculusError(
+                    f"operator {ch} is illegal in {calc.name}-calculus (at position {start})"
+                )
+            elif ch.isupper() and ch.isalpha():
+                leaf = Var(ch)
+            elif ch in NAME_CHARS and ch.isalpha():
+                while i < n and text[i] in NAME_CHARS:
+                    i += 1
+                leaf = Var(text[start:i])
+            else:
+                raise ParseError(f"unexpected character {ch!r}", start)
             current = leaf if current is None else App(current, leaf)
+    if fault is not None:
+        raise fault
     if frames:
         raise ParseError("unclosed '('", frames[-1][0])
     if current is None:
-        raise ParseError("empty input", len(text))
+        raise ParseError("empty input", n)
     return current
 
 
@@ -222,18 +214,15 @@ def to_polish(t: Term) -> str:
 
 
 def from_polish(word: str, calc: Calculus) -> Term:
-    """Inverse of to_polish; raises PolishError on ill-formed words.  The
-    decoder is the well-formedness check: right to left, an A needs two
-    terms on the stack, an operator letter pushes its atom, any other
-    letter fails, and exactly one term must remain."""
-    for ch in word:
-        if ch != "A" and ch in ARITY and ch not in calc.operators:
-            raise CalculusError(
-                f"operator {ch} is illegal in {calc.name}-calculus"
-            )
+    """Inverse of to_polish.  The decoder is the well-formedness check:
+    right to left, an A needs two terms on the stack, an operator letter
+    pushes its atom, any other letter fails, and exactly one term must
+    remain.  A word that fails raises CalculusError if it holds the other
+    calculus's operator letter, and PolishError otherwise."""
+    ops = calc.operators
     stack: list[Term] = []
     for ch in reversed(word):
-        if ch in calc.operators:
+        if ch in ops:
             stack.append(atom(ch))
         elif ch == "A" and len(stack) > 1:
             fun = stack.pop()
@@ -243,4 +232,7 @@ def from_polish(word: str, calc: Calculus) -> Term:
     else:
         if len(stack) == 1:
             return stack[0]
+    for op in ARITY.keys() - ops:
+        if op in word:
+            raise CalculusError(f"operator {op} is illegal in {calc.name}-calculus")
     raise PolishError(f"ill-formed Polish word {word!r}")

@@ -12,7 +12,8 @@ import re
 import pytest
 
 from sfcalc.models import enumerate_closed_terms, enumerate_normal_forms
-from sfcalc.stdlib import build_catalog, catalog_terms
+from sfcalc.cli import load_default_prelude
+from sfcalc.stdlib import build_catalog
 from sfcalc.terms import Calculus
 
 _CRITERION = re.compile(r"test_criterion_([0-9]+[a-z]?)_(.*)")
@@ -30,12 +31,12 @@ def sf_catalog():
 
 @pytest.fixture(scope="session")
 def sk_terms(sk_catalog):
-    return catalog_terms(sk_catalog)
+    return load_default_prelude(Calculus.SK)
 
 
 @pytest.fixture(scope="session")
 def sf_terms(sf_catalog):
-    return catalog_terms(sf_catalog)
+    return load_default_prelude(Calculus.SF)
 
 
 @pytest.fixture(scope="session")

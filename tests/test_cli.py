@@ -78,6 +78,10 @@ class TestReduceAndTrace:
         assert "budget exhausted after 50 steps" in err
         assert out.strip()  # the partial term is still printed
 
+    def test_negative_budget_counts_as_zero(self):
+        code, out, err = run("reduce", "--calc", "sk", "SKKS", "--budget", "-1")
+        assert (code, out, err) == (EXIT_BUDGET, "SKKS\n", "budget exhausted after 0 steps\n")
+
     def test_huge_budget_stop_prints_one_short_line(self):
         # The budget stop is a term of about 3 * 10**9 nodes.
         start = time.perf_counter()
@@ -439,6 +443,10 @@ class TestTuringRun:
         )
         assert code == EXIT_BUDGET
         assert out.startswith("budget 3 ")
+
+    def test_negative_budget_counts_as_zero(self):
+        code, out, err = run("tm", "run", "@equality", "ASKF#ASKF", "--budget", "-1")
+        assert (code, out, err) == (EXIT_BUDGET, "budget 0 ASKF#ASKF\n", "")
 
     def test_missing_machine_file(self):
         code, out, err = run("tm", "run", "no-such-machine.tm", "A")

@@ -1,0 +1,144 @@
+"""Growth checks: how the work of a call grows with its input.
+
+The work is the number of Python opcodes run in sfcalc's own frames,
+counted with `sys.settrace`.  The count is exact and the same on every
+run, so a check does not depend on the host's load; C-level work, such
+as big-int conversion, is invisible to it.  Each family runs at sizes n,
+2n, 4n and 8n, and a linear family may grow at most LINEAR times per
+doubling.  The families that grow faster today are strict xfails that
+name ROADMAP item 2, so that item 2 flips them.
+"""
+
+from __future__ import annotations
+
+import functools
+import os
+import sys
+
+import pytest
+
+import sfcalc
+from sfcalc.lambda_bridge import parse_lambda, render_lambda
+from sfcalc.reduction import normalize
+from sfcalc.syntax import from_polish, parse, render, to_polish
+from sfcalc.terms import Calculus
+
+SK = Calculus.SK
+LINEAR = 2.5
+_PACKAGE = os.path.dirname(sfcalc.__file__) + os.sep
+
+
+def opcodes(thunk) -> int:
+    """The opcodes that thunk() runs in sfcalc's frames.  The tracer in
+    place before the call, if any, is put back after it."""
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "opcode":
+            count += 1
+        return local
+
+    def on_call(frame, event, arg):
+        if not frame.f_code.co_filename.startswith(_PACKAGE):
+            return None
+        frame.f_trace_lines = False
+        frame.f_trace_opcodes = True
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        thunk()
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def doubling_ratios(make, n: int) -> list[float]:
+    """make(size) builds a thunk, untraced; the ratios of the thunks'
+    opcode counts at sizes n, 2n, 4n and 8n, each to the one before."""
+    counts = [opcodes(make(n << k)) for k in range(4)]
+    return [b / a for a, b in zip(counts, counts[1:])]
+
+
+def assert_linear(make, n: int = 100) -> None:
+    ratios = doubling_ratios(make, n)
+    assert max(ratios) <= LINEAR, ratios
+
+
+TERM_TEXTS = {
+    "k-word": lambda k: "K" * k,
+    "nested": lambda k: "S(" * k + "S" + ")" * k,
+    "variables": lambda k: " ".join(f"x{i}" for i in range(k)),
+}
+LAMBDA_TEXTS = {
+    "deep": lambda k: "λ" + "0 (" * k + "0" + ")" * k,
+    "long": lambda k: "λ" + " 0" * k,
+}
+
+
+def test_the_count_is_of_sfcalc_frames_and_the_tracer_is_put_back():
+    previous = sys.gettrace()
+    assert opcodes(lambda: sum(range(100))) == 0
+    assert opcodes(lambda: parse("SKK", SK)) > 0
+    assert sys.gettrace() is previous
+
+
+@pytest.mark.parametrize("shape", TERM_TEXTS)
+def test_parse_is_linear(shape):
+    text = TERM_TEXTS[shape]
+    assert_linear(lambda k: functools.partial(parse, text(k), SK))
+
+
+@pytest.mark.parametrize("shape", TERM_TEXTS)
+def test_render_is_linear(shape):
+    text = TERM_TEXTS[shape]
+    assert_linear(lambda k: functools.partial(render, parse(text(k), SK)))
+
+
+@pytest.mark.parametrize("shape", ["k-word", "nested"])
+def test_polish_round_trip_is_linear(shape):
+    text = TERM_TEXTS[shape]
+
+    def make(k):
+        t = parse(text(k), SK)
+        return lambda: from_polish(to_polish(t), SK)
+
+    assert_linear(make)
+
+
+@pytest.mark.parametrize("shape", LAMBDA_TEXTS)
+def test_parse_lambda_is_linear(shape):
+    text = LAMBDA_TEXTS[shape]
+    assert_linear(lambda k: functools.partial(parse_lambda, text(k)))
+
+
+@pytest.mark.parametrize("shape", LAMBDA_TEXTS)
+def test_render_lambda_is_linear(shape):
+    text = LAMBDA_TEXTS[shape]
+    assert_linear(lambda k: functools.partial(render_lambda, parse_lambda(text(k))))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "ROADMAP item 2: the normal-order machine re-wraps the head's "
+        "extras after every step, so each step costs the spine's length "
+        "(about 4x per doubling)"
+    ),
+)
+def test_normalize_of_the_k_word_is_linear():
+    assert_linear(lambda k: functools.partial(normalize, parse("K" * k, SK), SK), 25)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "ROADMAP item 2: every step of the S(SSS)S stop re-wraps a spine "
+        "that grows with the budget (3.3x to 4.5x per doubling)"
+    ),
+)
+def test_budget_stop_of_s_sss_s_is_linear_in_the_budget():
+    t = parse("S(SKK)(SKK)(S(SSS)S)", SK)
+    assert_linear(lambda k: functools.partial(normalize, t, SK, budget=k), 25)

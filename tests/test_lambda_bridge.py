@@ -137,6 +137,12 @@ class TestBeta:
         out = beta_normalize(omega, budget=100)
         assert out.status is LambdaStatus.BUDGET
 
+    def test_negative_budget_counts_as_zero(self):
+        normal = parse_lambda("\\0")
+        assert beta_normalize(normal, budget=-1) == (LambdaStatus.NORMAL, normal, 0)
+        redex = parse_lambda("(\\0)(\\0)")
+        assert beta_normalize(redex, budget=-1) == (LambdaStatus.BUDGET, redex, 0)
+
     def test_normal_order_avoids_discarded_divergence(self):
         t = parse_lambda("(\\\\1)(\\\\1)((\\0 0)(\\0 0))")
         out = beta_normalize(t, budget=1_000)

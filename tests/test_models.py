@@ -151,6 +151,10 @@ class TestEvalRec:
         ok = eval_rec(add, [5, 5])
         assert ok.status == "ok" and ok.evals > 3
 
+    def test_negative_budget_counts_as_zero(self):
+        assert eval_rec(SUCC, [3], budget=-1) == RecOutcome("budget", None, 0)
+        assert eval_rec(SUCC, [3], budget=-5) == eval_rec(SUCC, [3], budget=0)
+
 
 def _random_recfn(rng: random.Random, k: int, depth: int) -> RecFn:
     """A well-formed k-ary program of nesting depth at most depth."""

@@ -186,6 +186,13 @@ class TestNormalize:
     def test_default_budget(self):
         assert DEFAULT_BUDGET == 100_000
 
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_negative_budget_counts_as_zero(self, strategy):
+        out = normalize(parse("SKKS", SK), SK, strategy, budget=-1)
+        assert (out.status, out.steps_taken, out.term) == (Status.BUDGET, 0, parse("SKKS", SK))
+        out = normalize(S, SK, strategy, budget=-1)
+        assert (out.status, out.steps_taken, out.term) == (Status.NORMAL, 0, S)
+
 
 class TestMachineAgainstOracle:
     strategy = Strategy.NORMAL

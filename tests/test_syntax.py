@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -68,6 +69,33 @@ class TestParse:
     def test_variables_in_both_calculi(self):
         t = parse("x y z", SF)
         assert t == app(Var("x"), Var("y"), Var("z"))
+
+    @pytest.mark.parametrize("text, calc, error, message", [
+        (")K", SF, CalculusError, "operator K is illegal in SF-calculus (at position 1)"),
+        ("S)$", SK, ParseError, "unexpected character '$' (at position 2)"),
+        ("()(", SK, ParseError, "empty parentheses (at position 1)"),
+    ])
+    def test_of_two_faults_the_pinned_one_is_reported(self, text, calc, error, message):
+        # A character fault anywhere comes before a misplaced parenthesis,
+        # and the first misplaced parenthesis before an unclosed one.
+        with pytest.raises(error) as caught:
+            parse(text, calc)
+        assert type(caught.value) is error and str(caught.value) == message
+
+    @pytest.mark.parametrize("text", [
+        "K" * 100_000,
+        "S(" * 20_000 + "S" + ")" * 20_000,
+        " ".join(f"x{i}" for i in range(20_000)),
+    ], ids=["k-word", "nested", "variables"])
+    def test_peak_memory_is_the_term(self, text):
+        # One pass: no token list outlives the characters it came from.
+        tracemalloc.start()
+        try:
+            t = parse(text, SK)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert t.size > 1 and peak <= 1.1 * held, (peak, held)
 
 
 class TestRender:
@@ -188,6 +216,12 @@ class TestPolish:
                 from_polish(word, SK)
         with pytest.raises(CalculusError):
             from_polish("ASF", SK)  # foreign operator letter
+
+    def test_an_ill_formed_word_with_a_foreign_letter_is_a_calculus_error(self):
+        with pytest.raises(CalculusError) as caught:
+            from_polish("KA", SF)
+        assert type(caught.value) is CalculusError
+        assert str(caught.value) == "operator K is illegal in SF-calculus"
 
     @staticmethod
     def _counter_law(word, calc):

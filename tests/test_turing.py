@@ -98,6 +98,10 @@ class TestRunMachine:
         run = run_machine(EQUALITY_MACHINE, "AAAA#AAAA", budget=5)
         assert run.status == "budget" and run.steps == 5
 
+    def test_negative_budget_counts_as_zero(self):
+        run = run_machine(EQUALITY_MACHINE, "AAAA#AAAA", budget=-1)
+        assert (run.status, run.steps) == ("budget", 0)
+
     def test_word_is_the_non_blank_span(self):
         run = run_machine(EQUALITY_MACHINE, "AS#AS")
         assert run.status == "accept"
