@@ -15,8 +15,9 @@ whose first argument is variable-headed can never fire; a term is
 "stuck" (rather than normal) when such positions remain, which requires
 an open term.
 
-One engine implements normal order: a stack machine that normalizes
-without re-scanning from the root.  Its one kind of frame is a spine
+One engine implements normal order: a stack machine that keeps the
+arguments past the redex in a list, so it neither re-scans from the
+root nor re-wraps the spine after a step.  Its one frame kind is a spine
 with the working term at one argument position.  An F waiting for its
 first argument to stabilize is such a frame too, flagged as deferred.
 Applicative order is a walk over a zipper of pending ancestors that,
@@ -193,9 +194,11 @@ def _applicative_normalize(
 # --- stack machine for normal order -------------------------------------------
 
 
-def _rebuild(stack: list, w: Term) -> Term:
-    """Fold the machine stack around the working term (for budget stops)."""
-    for head, args, i, _, _ in reversed(stack):
+def _rebuild(stack: list, w: Term, extras: list) -> Term:
+    """Fold the machine stack around the working term and its extras."""
+    for e in reversed(extras):
+        w = App(w, e)
+    for head, args, i, *_ in reversed(stack):
         u = head
         for j, a in enumerate(args):
             u = App(u, w if j == i else a)
@@ -204,8 +207,11 @@ def _rebuild(stack: list, w: Term) -> Term:
 
 
 def _path(stack: list, extras: list) -> str:
-    """Path from the root to the redex under the working term's extras."""
-    return "".join("L" * (len(f[1]) - 1 - f[2]) + "R" for f in stack) + "L" * len(extras)
+    """Path from the root to the working term, then past its extras."""
+    if not stack:
+        return "L" * len(extras)
+    _, args, i, _, _, path = stack[-1]
+    return path + "L" * (len(args) - 1 - i) + "R" + "L" * len(extras)
 
 
 def _machine_normalize(
@@ -216,9 +222,13 @@ def _machine_normalize(
     Returns (term, steps, finished, trail); the trail of Steps is empty
     unless tracing.  The machine alternates between stabilizing the head
     of the working term (firing spine redexes) and normalizing the
-    arguments of stabilized spines left to right.  Its one frame kind,
-    [head, args, i, entered, deferred], is a spine whose argument i is
-    the working term; entered is the step count when work on it began.
+    arguments of stabilized spines left to right.  The working term is w
+    applied to extras, its arguments past the redex (last first).  Apps
+    are built only to pull an extra into a redex, to give a deferred F its
+    first argument, to fold a frame and at a budget stop.  The one frame
+    kind, [head, args, i, entered, deferred, path], is a spine whose
+    argument i is the working term; entered is the step count when work
+    on it began, and path is its path when tracing.
 
     A fully applied F whose first argument is not factorable is deferred:
     its spine is pushed as a frame at i = 0 with the deferred flag set,
@@ -247,57 +257,52 @@ def _machine_normalize(
     # the argument keeps its id from being reused within the call.
     memo: Optional[dict[int, tuple[Term, Term, int]]] = None if trace else {}
     stack: list = []
-    w = t
+    w, extras = t, []
     while True:
-        # Stabilize w's spine.
+        # Stabilize the spine of w applied to extras.
         while True:
             op = w.head
-            if op is None or w.nargs < ARITY[op]:
+            if op is None or w.nargs + len(extras) < ARITY[op]:
                 break  # leaf, compound, or variable-headed: stable
-            extras: list[Term] = []
-            r = w
-            for _ in range(w.nargs - ARITY[op]):
-                extras.append(r.arg)
-                r = r.fun
-            extras.reverse()
+            while w.nargs > ARITY[op]:
+                extras.append(w.arg)
+                w = w.fun
+            while w.nargs < ARITY[op]:  # w becomes the redex
+                w = App(w, extras.pop())
             if op == "F":
-                a1 = r.fun.fun.arg
+                a1 = w.fun.fun.arg
                 h1 = a1.head
                 if h1 is None:
                     break  # blocked: variable-headed first argument
                 if a1.nargs >= ARITY[h1]:
                     # Defer F; stabilize its first argument first.
-                    stack.append([F, [a1, r.fun.arg, r.arg, *extras], 0, steps, True])
-                    w = a1
+                    args = [a1, w.fun.arg, w.arg, *reversed(extras)]
+                    stack.append([F, args, 0, steps, True, _path(stack, []) if trace else ""])
+                    w, extras = a1, []
                     continue
             if steps >= budget:
-                return _rebuild(stack, w), steps, False, tuple(trail)
+                return _rebuild(stack, w, extras), steps, False, tuple(trail)
             steps += 1
+            r = w
             rule, w = _fire(r)  # fires: every unfireable F was left above
             if trace:
                 trail.append(Step(_path(stack, extras), rule, r, w))
-            for e in extras:
-                w = App(w, e)
-        # w is head-stable: factorable, variable-headed, or blocked-F.
+        # w and extras are head-stable: factorable, variable-headed, or blocked-F.
         if stack and stack[-1][4]:
             h = w.head
-            if h is not None and w.nargs < ARITY[h]:
+            if h is not None and w.nargs + len(extras) < ARITY[h]:
                 # The deferred F's first argument is factorable: fire F.
                 args = stack.pop()[1]
-                args[0] = w
-                w = F
-                for a in args:
-                    w = App(w, a)
+                args[0] = _rebuild([], w, extras)
+                w, extras = F, args[::-1]
                 continue
-        if isinstance(w, App):
-            # Enter w's argument phase; the loop below moves to args[0].
-            args = []
-            node = w
-            while isinstance(node, App):
-                args.append(node.arg)
-                node = node.fun
-            args.reverse()
-            stack.append([node, args, -1, steps, False])
+        if extras or isinstance(w, App):
+            # Enter the argument phase; the loop below moves to args[0].
+            while isinstance(w, App):
+                extras.append(w.arg)
+                w = w.fun
+            stack.append([w, extras[::-1], -1, steps, False, _path(stack, []) if trace else ""])
+            extras.clear()
         # Hand normal forms up and move to the next argument to normalize.
         while True:
             if not stack:

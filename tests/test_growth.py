@@ -5,8 +5,9 @@ counted with `sys.settrace`.  The count is exact and the same on every
 run, so a check does not depend on the host's load; C-level work, such
 as big-int conversion, is invisible to it.  Each family runs at sizes n,
 2n, 4n and 8n, and a linear family may grow at most LINEAR times per
-doubling.  The families that grow faster today are strict xfails that
-name ROADMAP item 2, so that item 2 flips them.
+doubling.  The normal-order families put the machine on long spines: a
+step that re-wrapped the spine's arguments would cost its length, about
+4x per doubling.
 """
 
 from __future__ import annotations
@@ -18,12 +19,14 @@ import sys
 import pytest
 
 import sfcalc
-from sfcalc.lambda_bridge import parse_lambda, render_lambda
+from sfcalc.cli import load_default_prelude
+from sfcalc.lambda_bridge import bracket_abstract, parse_lambda, render_lambda
 from sfcalc.reduction import normalize
 from sfcalc.syntax import from_polish, parse, render, to_polish
-from sfcalc.terms import Calculus
+from sfcalc.terms import App, Calculus, Var, app
 
 SK = Calculus.SK
+SF = Calculus.SF
 LINEAR = 2.5
 _PACKAGE = os.path.dirname(sfcalc.__file__) + os.sep
 
@@ -120,25 +123,27 @@ def test_render_lambda_is_linear(shape):
     assert_linear(lambda k: functools.partial(render_lambda, parse_lambda(text(k))))
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason=(
-        "ROADMAP item 2: the normal-order machine re-wraps the head's "
-        "extras after every step, so each step costs the spine's length "
-        "(about 4x per doubling)"
-    ),
-)
 def test_normalize_of_the_k_word_is_linear():
     assert_linear(lambda k: functools.partial(normalize, parse("K" * k, SK), SK), 25)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason=(
-        "ROADMAP item 2: every step of the S(SSS)S stop re-wraps a spine "
-        "that grows with the budget (3.3x to 4.5x per doubling)"
-    ),
-)
 def test_budget_stop_of_s_sss_s_is_linear_in_the_budget():
     t = parse("S(SKK)(SKK)(S(SSS)S)", SK)
     assert_linear(lambda k: functools.partial(normalize, t, SK, budget=k), 25)
+
+
+def test_normalize_of_a_long_self_application_is_linear():
+    # The SK translation of λ0 0 … 0 (k indices) applied to v: the head
+    # steps pile up the k - 1 arguments of the normal form v v … v.
+    def make(k):
+        t = App(bracket_abstract(parse_lambda("λ" + " 0" * k), SK), Var("v"))
+        return functools.partial(normalize, t, SK)
+
+    assert_linear(make, 25)
+
+
+def test_budget_stop_of_eqviacode_on_a_divergent_pair_is_linear_in_the_budget():
+    program = load_default_prelude(SF)["eqviacode"]
+    w = parse("S(SS)(SS)", SF)
+    t = app(program, w, w)
+    assert_linear(lambda k: functools.partial(normalize, t, SF, budget=k), 100)

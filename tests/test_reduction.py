@@ -13,7 +13,7 @@ import pytest
 from sfcalc import reduction
 from sfcalc.cli import load_default_prelude
 from sfcalc.lambda_bridge import LambdaStatus, beta_normalize, bracket_abstract, parse_lambda
-from sfcalc.models import enumerate_closed_terms, random_closed_term
+from sfcalc.models import enumerate_closed_terms, enumerate_normal_forms, random_closed_term
 from sfcalc.reduction import (
     DEFAULT_BUDGET,
     RULE_F_ATOM,
@@ -233,6 +233,10 @@ class TestMachineAgainstOracle:
             t = parse(text, calc)
             assert normalize(t, calc, self.strategy, budget=300).status is Status.BUDGET, text
             self.check(t, calc, budgets=(*range(41), 300))
+        # Stops with many spine arguments past the redex: the word of 41 Ks
+        # (20 steps), and a deferred F whose spine carries two more.
+        for text, calc in (("K" * 41, SK), ("F (S(FF)(FF)(SS)) M N a b", SF)):
+            self.check(parse(text, calc), calc, budgets=range(41))
 
     @CALCS
     def test_closed_terms_up_to_9_nodes(self, calc):
@@ -349,6 +353,27 @@ class TestCallByNeed:
         assert_memo_is_step_exact(t, SF, top=40)
 
 
+class TestSpineArguments:
+    def test_godelize_builds_at_most_three_apps_a_step(self, sf_terms, monkeypatch):
+        # A step puts the contractum in the redex's place and leaves the
+        # spine's other arguments as they are.  A machine that re-wrapped
+        # them after every step would build about 9 Apps a step here.
+        terms = [App(sf_terms["godelize"], m) for m in enumerate_normal_forms(SF, 3)]
+        built = 0
+        init = App.__init__
+
+        def counting_init(node, fun, arg):
+            nonlocal built
+            built += 1
+            init(node, fun, arg)
+
+        monkeypatch.setattr(App, "__init__", counting_init)
+        steps = sum(normalize(t, SF, budget=10**7).steps_taken for t in terms)
+        monkeypatch.undo()
+        assert steps == 4606
+        assert built <= 3 * steps, built / steps
+
+
 class TestTrace:
     @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
     def test_replaying_contracta_rebuilds_every_term(self, strategy):
@@ -363,6 +388,8 @@ class TestTrace:
             ("F(F(F x M N) a b) c d", SF),
             ("S(FF)(FF)(F(F(F x M N)(S S S S) b) c (SSSS))", SF),
             (f"S S (F ({w_sf}({w_sf})) M N) x y", SF),
+            ("K" * 41, SK),
+            ("F (S(FF)(FF)(SS)) M N a b", SF),
         ):
             t = parse(text, calc)
             traced = normalize(t, calc, strategy, budget=60, trace=True)
