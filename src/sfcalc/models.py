@@ -503,7 +503,7 @@ def normal_model(calc: Calculus, budget: int = DEFAULT_BUDGET) -> Model:
         return normalize(x, calc, budget=0).status is Status.NORMAL
 
     def apply(program: object, args: Sequence[object]) -> ModelResult:
-        term = app(program, *args) if args else program  # type: ignore[arg-type]
+        term = app(program, *args)  # type: ignore[arg-type]
         out = normalize(term, calc, budget=budget)
         if out.status is Status.NORMAL:
             return ModelResult("ok", out.term)

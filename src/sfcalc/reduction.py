@@ -97,8 +97,10 @@ class ReduceOutcome(NamedTuple):
 # --- firing a single node ----------------------------------------------------
 
 
-def _fire(u: Term) -> Optional[tuple[str, Term]]:
-    """Rule and contractum if u is exactly a fireable rule instance."""
+def _fire(u: Term) -> Optional[tuple[str, Term] | tuple[()]]:
+    """(rule, contractum) when a rule fires on u; () when u is a fully
+    applied F whose first argument may still reduce at its head; None
+    otherwise, a blocked F (variable-headed first argument) included."""
     op = u.head
     if op is None or u.nargs != ARITY[op]:
         return None
@@ -116,7 +118,7 @@ def _fire(u: Term) -> Optional[tuple[str, Term]]:
         return RULE_F_ATOM, u.fun.arg
     if a1.nargs < ARITY[h]:
         return RULE_F_COMPOUND, App(App(u.arg, a1.fun), a1.arg)
-    return None  # first argument must stabilize first
+    return ()  # first argument must stabilize first
 
 
 # --- applicative order -------------------------------------------------------
@@ -162,7 +164,7 @@ def _applicative_normalize(
                 w = w.arg
         else:
             hit = _fire(w)
-            if hit is not None:
+            if hit:
                 if steps >= budget:
                     return _plug(stack, w), steps, False, tuple(trail)
                 steps += 1
@@ -230,13 +232,13 @@ def _machine_normalize(
     argument i is the working term; entered is the step count when work
     on it began, and path is its path when tracing.
 
-    A fully applied F whose first argument is not factorable is deferred:
-    its spine is pushed as a frame at i = 0 with the deferred flag set,
-    and the machine stabilizes that argument first.  Once it is
-    head-stable and factorable, the frame is folded back and F fires.
-    Otherwise the F is blocked for good, the argument's own spine is
-    normalized, and the frame receives its normal form and goes on with
-    its other arguments like any other frame, with the flag cleared.
+    The machine asks `_fire` about each fully applied operator at the
+    head: it fires the rule given, takes a blocked F (None) as stable and
+    defers an F that must wait (()).  That F's spine is pushed as a frame
+    at i = 0 with the deferred flag set, and its first argument is
+    stabilized first.  Once that is head-stable and factorable, the frame
+    is folded back and F fires.  Otherwise the F is blocked for good: the
+    frame takes the argument's normal form, clears its flag and goes on.
 
     Untraced runs share work within the call (call by need): when a frame
     receives the normal form of its argument, it records the argument
@@ -269,26 +271,25 @@ def _machine_normalize(
                 w = w.fun
             while w.nargs < ARITY[op]:  # w becomes the redex
                 w = App(w, extras.pop())
-            if op == "F":
-                a1 = w.fun.fun.arg
-                h1 = a1.head
-                if h1 is None:
+            hit = _fire(w)
+            if not hit:
+                if hit is None:
                     break  # blocked: variable-headed first argument
-                if a1.nargs >= ARITY[h1]:
-                    # Defer F; stabilize its first argument first.
-                    args = [a1, w.fun.arg, w.arg, *reversed(extras)]
-                    stack.append([F, args, 0, steps, True, _path(stack, []) if trace else ""])
-                    w, extras = a1, []
-                    continue
+                # Defer F; stabilize its first argument first.
+                a1 = w.fun.fun.arg
+                args = [a1, w.fun.arg, w.arg, *reversed(extras)]
+                stack.append([F, args, 0, steps, True, _path(stack, []) if trace else ""])
+                w, extras = a1, []
+                continue
             if steps >= budget:
                 return _rebuild(stack, w, extras), steps, False, tuple(trail)
             steps += 1
-            r = w
-            rule, w = _fire(r)  # fires: every unfireable F was left above
             if trace:
-                trail.append(Step(_path(stack, extras), rule, r, w))
+                trail.append(Step(_path(stack, extras), hit[0], w, hit[1]))
+            w = hit[1]
         # w and extras are head-stable: factorable, variable-headed, or blocked-F.
         if stack and stack[-1][4]:
+            # Not `_fire`: it gives () on F (F x M N) a b too, and would loop.
             h = w.head
             if h is not None and w.nargs + len(extras) < ARITY[h]:
                 # The deferred F's first argument is factorable: fire F.
@@ -348,7 +349,7 @@ def _blocked_f_positions(t: Term) -> bool:
     if _cannot_stick(t):
         return False
     return any(
-        u.head == "F" and u.nargs == 3 and u.fun.fun.arg.head is None
+        u.head == "F" and u.nargs == 3 and _fire(u) is None
         for u in dag_postorder(t, _cannot_stick)
     )
 

@@ -14,16 +14,20 @@ from __future__ import annotations
 
 import functools
 import os
+import random
 import sys
 
 import pytest
 
 import sfcalc
-from sfcalc.cli import load_default_prelude
+from sfcalc.cli import load_default_prelude, parse_prelude
 from sfcalc.lambda_bridge import bracket_abstract, parse_lambda, render_lambda
-from sfcalc.reduction import normalize
+from sfcalc.models import eval_rec, gnum, random_closed_term
+from sfcalc.reduction import normalize, render_trace
 from sfcalc.syntax import from_polish, parse, render, to_polish
 from sfcalc.terms import App, Calculus, Var, app
+from sfcalc.turing import EQUALITY_MACHINE, run_machine
+from sfcalc.witnesses import rec_mul
 
 SK = Calculus.SK
 SF = Calculus.SF
@@ -147,3 +151,45 @@ def test_budget_stop_of_eqviacode_on_a_divergent_pair_is_linear_in_the_budget():
     w = parse("S(SS)(SS)", SF)
     t = app(program, w, w)
     assert_linear(lambda k: functools.partial(normalize, t, SF, budget=k), 100)
+
+
+def test_equality_machine_on_a_word_against_itself_is_linear():
+    # The machine's steps grow about 4x per doubling of the word; the
+    # runner takes each sweep in one match, so its opcodes grow 2x.
+    def make(k):
+        w = to_polish(random_closed_term(SF, 2 * k + 1, random.Random(k)))
+        return functools.partial(run_machine, EQUALITY_MACHINE, f"{w}#{w}")
+
+    assert_linear(make, 16)
+
+
+def test_eval_rec_of_times_is_linear_in_its_second_argument():
+    # (k, k) would be quadratic by design, and at 8k it meets the budget.
+    assert_linear(lambda k: functools.partial(eval_rec, rec_mul, (3, k)), 25)
+
+
+def test_parse_prelude_of_a_doubling_chain_is_linear():
+    def make(k):
+        text = "let a0 = S;\n" + "".join(f"let a{i} = a{i - 1} a{i - 1};\n" for i in range(1, k))
+        return functools.partial(parse_prelude, text, SK)
+
+    assert_linear(make, 25)
+
+
+def test_trace_of_the_k_word_is_linear():
+    def make(k):
+        t = parse("K" * k, SK)
+        return lambda: render_trace(normalize(t, SK, trace=True).steps)
+
+    assert_linear(make, 25)
+
+
+def test_bracket_abstraction_of_a_long_body_is_linear():
+    text = LAMBDA_TEXTS["long"]
+    assert_linear(lambda k: functools.partial(bracket_abstract, parse_lambda(text(k)), SK), 25)
+
+
+def test_gnum_of_nested_s_is_linear_in_the_depth():
+    # The codes' bit lengths double at each level; the big-int products
+    # are C-level and unseen here; the godel timing tests in test_cli time them.
+    assert_linear(lambda k: functools.partial(gnum, parse(TERM_TEXTS["nested"](k), SK)), 2)

@@ -126,6 +126,18 @@ class TestRules:
         assert RULE_F_ATOM == "F-atom-rule"
         assert RULE_F_COMPOUND == "F-compound-rule"
 
+    def test_fire_fires_defers_or_refuses(self):
+        fire = reduction._fire
+        assert fire(parse("SKKS", SK)) == (RULE_S, parse("KS(KS)", SK))
+        assert fire(parse("F S M N", SF)) == (RULE_F_ATOM, Var("M"))
+        # The first argument may still reduce at its head: F must wait.
+        assert fire(app(F, parse("KSS", SK), Var("M"), Var("N"))) == ()
+        assert fire(parse("F (F x M N) a b", SF)) == ()
+        # A variable-headed first argument blocks F for good.
+        assert fire(parse("F x M N", SF)) is None
+        # So is anything that is not a fully applied operator.
+        assert fire(parse("S K K", SK)) is None
+
     def test_compound_components_need_not_be_normal(self):
         # First argument of F is a compound whose right component holds a
         # redex; the factorisation still fires at the head first.
