@@ -44,11 +44,10 @@ from typing import IO, Mapping, Sequence
 from .lambda_bridge import bracket_abstract, parse_lambda
 from .models import (
     build_probe_corpus,
-    code_digits,
     code_from_digits,
     enumerate_normal_forms,
     eval_rec,
-    gnum,
+    gnum_digits,
     gterm,
     show_value,
 )
@@ -217,7 +216,7 @@ def _cmd_godel(args, out, err) -> int:
         print(render(term), file=out)
         return EXIT_OK
     term = _parse_term(args.value, args, err)
-    print(code_digits(gnum(term)), file=out)
+    print(gnum_digits(term), file=out)
     return EXIT_OK
 
 

@@ -9,7 +9,8 @@ Three models of computation are wrapped behind one interface:
 * the Turing model (machines over tape words, defined in `turing`).
 
 The module also provides the pairing-based code of closed operator terms
-(`gnum` / `gterm`), enumeration of closed terms and closed normal forms,
+(`gnum` / `gterm`, with `gnum_digits` to print a code and
+`code_from_digits` to read one), enumeration of closed terms and closed normal forms,
 seeded probe corpora, and the report tables (`CheckReport`) that the
 simulation and weak-equivalence cases in `witnesses` fill in.
 """
@@ -19,7 +20,7 @@ from __future__ import annotations
 import decimal
 import random
 from math import ceil, isqrt, log2
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Any, Callable, NamedTuple, Optional, Sequence, Union
 
 from .reduction import DEFAULT_BUDGET, Status, normalize
 from .syntax import render
@@ -274,9 +275,44 @@ def cantor_pair(a: int, b: int) -> int:
 
 
 def cantor_unpair(z: int) -> tuple[int, int]:
-    w = (isqrt(8 * z + 1) - 1) // 2
+    w = (sqrtrem(8 * z + 1)[0] - 1) // 2
     b = z - w * (w + 1) // 2
     return w - b, b
+
+
+#: Square roots of at most this many bits are taken by `math.isqrt`.
+_ISQRT_BITS = 2048
+
+
+def sqrtrem(n: int) -> tuple[int, int]:
+    """(s, n - s*s) for s = isqrt(n), n >= 0.  CPython 3.11's isqrt is
+    quadratic in its divisions; this is Zimmermann's Karatsuba square
+    root (SqrtRem: Brent & Zimmermann, Modern Computer Arithmetic, 2010,
+    section 1.5.2), about twice as fast on large n.  n is split into
+    four k-bit quarters after a shift by 0 or 2 bits that makes its top
+    quarter at least 2**(k - 2): then the root of the top half has its
+    top bit set, and the remainder needs at most one correction."""
+    bits = n.bit_length()
+    if bits <= _ISQRT_BITS:
+        s = isqrt(n)
+        return s, n - s * s
+    k = (bits + 3) // 4
+    shift = (4 * k - bits) // 2
+    n <<= 2 * shift
+    low = (1 << k) - 1
+    s, r = sqrtrem(n >> 2 * k)
+    q, u = divmod((r << k) | (n >> k & low), 2 * s)
+    s = (s << k) + q
+    r = (u << k) + (n & low) - q * q
+    if r < 0:
+        r += 2 * s - 1
+        s -= 1
+    if shift:
+        # s is the root of 4n: halve it, and r follows from 4n's root.
+        odd = s & 1
+        s >>= 1
+        r = (r + odd * (4 * s + 1)) >> 2
+    return s, r
 
 
 #: The most decimal digits of a code: `gnum` refuses longer codes, and
@@ -293,9 +329,29 @@ def gnum(t: Term) -> int:
     every level of nesting, so this raises ValueError, before
     multiplying, once the code of t is certain to pass MAX_CODE_DIGITS
     digits, counting every application still open above the pair."""
+    return _code(t, 1, 2)
+
+
+#: Exact integer arithmetic in `decimal`: no result may round.
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                         traps=[decimal.InvalidOperation, decimal.Inexact])
+
+
+def gnum_digits(t: Term) -> str:
+    """str(gnum(t)), under no int digit limit and in subquadratic time.
+    CPython 3.11's str(int) is quadratic: 35 s for the 1.4M-digit code of
+    23 S's.  This runs gnum's walk, with its refusal, on `decimal`
+    integers, whose large products are subquadratic and which print in
+    linear time.  The caller's decimal context is left as it was."""
+    with decimal.localcontext(_EXACT):
+        return format(_code(t, decimal.Decimal(1), decimal.Decimal(2)), "f")
+
+
+def _code(t: Term, one: Any, two: Any) -> Any:
+    """gnum(t), as an int or a Decimal: the type of the atom codes."""
     if not t.closed:
         raise ValueError("only closed terms have a code")
-    out: list[int] = []
+    out: list[Any] = []
     stack: list[Term | None] = [t]
     pending = 0  # the None markers on the stack: applications still open
     while stack:
@@ -304,18 +360,20 @@ def gnum(t: Term) -> int:
             pending -= 1
             b = out.pop()
             a = out.pop()
-            # cantor_pair(a, b) > max(a, b)**2 / 2 >= 2**floor, and each
-            # pending ancestor takes a code >= 2**f to one >= 2**(2f - 1),
-            # so the root's code is >= 2**((floor - 1) * 2**pending + 1),
-            # and this test says that exponent reaches _MAX_CODE_BITS.
-            floor = 2 * max(a, b).bit_length() - 3
-            if floor - 1 > (_MAX_CODE_BITS - 2) >> pending:
+            # cantor_pair(a, b) > max(a, b)**2 / 2 >= 2**floor, for floor
+            # = 2 * bit_length - 3, and each pending ancestor takes a code
+            # >= 2**f to one >= 2**(2f - 1), so the root's code is
+            # >= 2**((floor - 1) * 2**pending + 1).  The test says that
+            # exponent reaches _MAX_CODE_BITS: floor - 1 > limit, that is,
+            # bit_length > (limit + 4) // 2.
+            limit = (_MAX_CODE_BITS - 2) >> pending
+            if _reaches_power_of_two(max(a, b), (limit + 4) // 2):
                 raise ValueError(
                     f"the code has more than {MAX_CODE_DIGITS:,} digits"
                 )
             out.append(cantor_pair(a, b) + 3)
         elif isinstance(u, Atom):
-            out.append(1 if u.name == "S" else 2)
+            out.append(one if u.name == "S" else two)
         else:
             assert isinstance(u, App)
             pending += 1
@@ -325,37 +383,21 @@ def gnum(t: Term) -> int:
     return out[0]
 
 
-#: Codes of at most this many bits are printed by `str`.
-_DIGITS_CHUNK_BITS = 1024
+_LOG2_10 = log2(10)
 
 
-def code_digits(n: int) -> str:
-    """str(n) for a code n >= 0, in subquadratic time and under no int
-    digit limit.  CPython 3.11's str(int) is quadratic: 35 s for the
-    1.4M-digit code of 23 S's.  Here n is split by bits and rebuilt in
-    `decimal` at MAX_PREC, whose large products are subquadratic, and
-    printed from there (Brent & Zimmermann, Modern Computer Arithmetic,
-    2010, section 1.7)."""
-    chunk = _DIGITS_CHUNK_BITS
-    if n.bit_length() <= chunk:
-        return str(n)
-    with decimal.localcontext() as ctx:
-        ctx.prec = decimal.MAX_PREC
-        ctx.Emax = decimal.MAX_EMAX
-        # powers[k] is 2 ** (chunk << k), exactly.
-        powers = [decimal.Decimal(1 << chunk)]
-        while chunk << len(powers) < n.bit_length():
-            powers.append(powers[-1] * powers[-1])
-
-        def build(m: int, k: int) -> decimal.Decimal:
-            # m < 2 ** (chunk << (k + 1))
-            if k < 0:
-                return decimal.Decimal(m)
-            bits = chunk << k
-            hi = build(m >> bits, k - 1)
-            return hi * powers[k] + build(m & ((1 << bits) - 1), k - 1)
-
-        return format(build(n, len(powers) - 1), "f")
+def _reaches_power_of_two(x: Any, k: int) -> bool:
+    """x >= 2**k, for an int or integral Decimal x >= 1.  A Decimal's
+    exponent e (10**e <= x < 10**(e + 1)) settles it, unless 2**k lies
+    within a bit of that range."""
+    if isinstance(x, int):
+        return x.bit_length() > k
+    e = x.adjusted()
+    if e * _LOG2_10 > k + 1:
+        return True
+    if (e + 1) * _LOG2_10 < k - 1:
+        return False
+    return x >= decimal.Decimal(2) ** k
 
 
 #: CPython's default int digit limit.
@@ -367,7 +409,8 @@ def code_from_digits(text: str) -> int:
     subquadratic time (CPython 3.11's int(str) is quadratic: 5 s for the
     691,207 digits of 22 S's).  Text of up to 4,300 characters goes to
     `int` as it is; longer text must be at most MAX_CODE_DIGITS ASCII
-    digits, and is parsed by halves joined with an int product."""
+    digits, and is parsed by halves joined with an int product, each
+    power of ten computed once."""
     if len(text) <= _INT_DIGITS:
         return int(text)
     if not (text.isascii() and text.isdigit()):
@@ -376,8 +419,17 @@ def code_from_digits(text: str) -> int:
         )
     if len(text) > MAX_CODE_DIGITS:
         raise ValueError(f"the code has more than {MAX_CODE_DIGITS:,} digits")
-    low = len(text) // 2
-    return code_from_digits(text[:-low]) * 10**low + code_from_digits(text[-low:])
+    powers: dict[int, int] = {}
+
+    def parse(digits: str) -> int:
+        if len(digits) <= _INT_DIGITS:
+            return int(digits)
+        low = len(digits) // 2
+        if low not in powers:
+            powers[low] = 10**low
+        return parse(digits[:-low]) * powers[low] + parse(digits[-low:])
+
+    return parse(text)
 
 
 def gterm(n: int, calc: Calculus) -> Term | None:

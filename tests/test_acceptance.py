@@ -122,6 +122,43 @@ def test_criterion_04_identity_pair_agrees_yet_eq_separates(sf_catalog):
     assert verdict.term == sf_catalog["false"].body
 
 
+def test_criterion_04b_eq_separates_every_pair_the_probes_cannot(sf_catalog):
+    # Every SK normal form of up to 9 nodes, fingerprinted by its
+    # outcomes on the probe corpus (a budget stop's term is not part of
+    # the outcome, as in extensionally_agree).  Forms that share a
+    # fingerprint agree on every probe, yet eq on their SF translations
+    # (K as FF) tells each pair apart.  About 0.6 s of fingerprints and
+    # 470k eq steps, 214k of them in the self-checks.
+    clock = _Stopwatch(5.0)
+    probes = build_probe_corpus(SK)
+    classes: dict[tuple, list] = {}
+    for form in enumerate_normal_forms(SK, 9):
+        outcomes = []
+        for probe in probes:
+            out = normalize(app(form, probe), SK, budget=2_000)
+            outcomes.append((out.status, None if out.status is Status.BUDGET else out.term))
+        classes.setdefault(tuple(outcomes), []).append(form)
+    eq = sf_catalog["eq"].body
+    true, false = sf_catalog["true"].body, sf_catalog["false"].body
+    in_sf = {f: parse(render(f).replace("K", "(FF)"), SF) for forms in classes.values() for f in forms}
+
+    def verdict(a, b):
+        outcome = normalize(app(eq, in_sf[a], in_sf[b]), SF, budget=10**6)
+        assert outcome.status is Status.NORMAL, (render(a), render(b))
+        return outcome.term
+
+    pairs = 0
+    for forms in classes.values():
+        for a in forms:
+            assert verdict(a, a) == true, render(a)
+            for b in forms:
+                if a is not b:
+                    pairs += 1
+                    assert verdict(a, b) == false, (render(a), render(b))
+    assert pairs == 360
+    clock.check()
+
+
 def test_criterion_05_simulation_law_church_arithmetic():
     clock = _Stopwatch(60.0)
     cases = build_simulation_cases()

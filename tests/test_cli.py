@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import decimal
 import hashlib
 import io
 import os
@@ -40,7 +41,7 @@ from sfcalc.cli import (
     main,
     parse_prelude,
 )
-from sfcalc.models import enumerate_normal_forms
+from sfcalc.models import cantor_pair, enumerate_normal_forms
 from sfcalc.reduction import Strategy, normalize
 from sfcalc.syntax import MAX_PRINT_NODES, parse, render
 from sfcalc.terms import App, Calculus, Var, app
@@ -268,24 +269,30 @@ class TestGodel:
         assert (code, out) == (EXIT_OK, source + "\n")
 
     def test_int_digit_limit_is_left_as_it_was(self):
+        # And the decimal context: main also runs in-process.
         code9 = run("godel", "c9")[1].strip()
         assert len(code9) == 62_493  # past the default limit of 4,300 digits
         before = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(4300)
         try:
-            assert run("godel", "c9")[:2] == (EXIT_OK, code9 + "\n")
-            assert sys.get_int_max_str_digits() == 4300
-            code, out, err = run("godel", "--decode", code9)
-            assert (code, err) == (EXIT_OK, "")
-            assert sys.get_int_max_str_digits() == 4300
+            with decimal.localcontext() as ctx:
+                ctx.prec, ctx.rounding, ctx.traps[decimal.Inexact] = 7, decimal.ROUND_DOWN, True
+                saved = repr(ctx)
+                assert run("godel", "c9")[:2] == (EXIT_OK, code9 + "\n")
+                assert sys.get_int_max_str_digits() == 4300
+                code, out, err = run("godel", "--decode", code9)
+                assert (code, err) == (EXIT_OK, "")
+                assert sys.get_int_max_str_digits() == 4300
+                assert decimal.getcontext() is ctx and repr(ctx) == saved
         finally:
             sys.set_int_max_str_digits(before)
 
     def test_a_long_code_prints_quickly(self):
-        # 23 S's code to 1,382,413 digits; str() takes about 35 s on them.
+        # 23 S's code to 1,382,413 digits; str() takes about 35 s on them,
+        # an int split into decimal about 1.1 s, the decimal walk 0.12 s.
         start = time.perf_counter()
         code, out, err = run("godel", "S" * 23)
-        assert time.perf_counter() - start < 5.0
+        assert time.perf_counter() - start < 1.0
         assert (code, err, len(out)) == (EXIT_OK, "", 1_382_414)
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == "5b10e44da36d3797403026f98934689d8b403c315875a5bf6a6285c0ca4ec4bb"
@@ -302,6 +309,19 @@ class TestGodel:
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (EXIT_ERROR, "")
         assert err == "error: the code has more than 2,000,000 digits\n"
+
+    def test_code_of_24_s_is_refused_before_multiplying(self, monkeypatch):
+        # 24 S's code to about 2.8 million digits: refused after pairing
+        # a few small codes.
+        calls = []
+        monkeypatch.setattr(
+            "sfcalc.models.cantor_pair",
+            lambda a, b: calls.append(1) or cantor_pair(a, b),
+        )
+        code, out, err = run("godel", "S" * 24)
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == "error: the code has more than 2,000,000 digits\n"
+        assert len(calls) <= 3
 
 
 class TestPolish:

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import decimal
 import gc
 import hashlib
 import random
 import sys
 import time
 import weakref
+from math import isqrt
 
 import pytest
 from hypothesis import given, strategies as st
 
+from sfcalc import models
 from sfcalc.models import (
     MAX_CODE_DIGITS,
     SUCC,
@@ -28,18 +31,20 @@ from sfcalc.models import (
     build_probe_corpus,
     cantor_pair,
     cantor_unpair,
-    code_digits,
     code_from_digits,
     enumerate_closed_terms,
     enumerate_normal_forms,
     eval_rec,
     gnum,
+    gnum_digits,
     gterm,
     normal_model,
     random_closed_term,
     recursive_model,
     show_value,
+    sqrtrem,
 )
+from sfcalc.stdlib import church
 from sfcalc.syntax import render
 from sfcalc.terms import App, Calculus, F, S, Var, app
 from sfcalc.turing import IDENTITY_MACHINE, parse_machine, turing_model
@@ -334,25 +339,86 @@ class TestNumbering:
         for t in (app(*[S] * 24), deep):
             # Refused as soon as the applications still open make the
             # code certain to be too long: after pairing a few small codes.
-            calls = []
-            monkeypatch.setattr(
-                "sfcalc.models.cantor_pair",
-                lambda a, b: calls.append(1) or cantor_pair(a, b),
-            )
-            with pytest.raises(ValueError, match="more than 2,000,000 digits"):
-                gnum(t)
-            assert len(calls) <= 3
+            # The decimal walk that prints codes refuses the same way.
+            for code in (gnum, gnum_digits):
+                calls = []
+                monkeypatch.setattr(
+                    "sfcalc.models.cantor_pair",
+                    lambda a, b: calls.append(1) or cantor_pair(a, b),
+                )
+                with pytest.raises(ValueError, match="more than 2,000,000 digits"):
+                    code(t)
+                assert len(calls) <= 3
 
-    @pytest.mark.parametrize("bits", [1, 64, 1023, 1024, 1025, 2048, 2049, 4097, 70_000])
-    def test_code_digits_are_str(self, bits):
-        rng = random.Random(bits)
+    def test_decimal_walk_refuses_where_the_int_walk_does(self):
+        # The refusal test asks whether max(a, b) >= 2**k.  On a Decimal
+        # it is settled by the exponent, or exactly near 2**k: check both
+        # sides of 2**k and of the powers of ten near it.
+        d = decimal.Decimal
+        with decimal.localcontext(models._EXACT):
+            for pending in range(5, 45):
+                k = (((models._MAX_CODE_BITS - 2) >> pending) + 4) // 2
+                near = [d(2) ** m for m in range(max(k - 6, 0), k + 7)]
+                e = int(k * 0.30103)
+                near += [d(10) ** f for f in range(max(e - 2, 0), e + 3)]
+                bound = d(2) ** k
+                for x in (y + delta for y in near for delta in (-1, 0, 1)):
+                    if x >= 1:
+                        assert models._reaches_power_of_two(x, k) == (x >= bound), (k, x)
+                        if k < 5000:
+                            assert models._reaches_power_of_two(int(x), k) == (x >= bound)
+
+    @pytest.mark.parametrize("family", ["numerals", "random-sk", "random-sf", "s-chains"])
+    def test_gnum_digits_are_str_of_gnum(self, family):
+        rng = random.Random(7)
+        if family == "numerals":
+            terms = [church(n, SF) for n in range(10)]
+        elif family == "s-chains":
+            # Up to 86,403 digits, then two that both walks refuse.
+            terms = [app(*[S] * n) for n in (*range(1, 20), 24, 25)]
+        else:
+            calc = SK if family == "random-sk" else SF
+            terms = [random_closed_term(calc, size, rng)
+                     for size in range(1, 80, 2) for _ in range(3)]
         before = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
         try:
-            for n in (0, rng.getrandbits(bits), (1 << bits) - 1, 1 << bits, 10 ** (bits // 3)):
-                assert code_digits(n) == str(n)
+            for t in terms:
+                try:
+                    expected = str(gnum(t))
+                except ValueError as refusal:
+                    with pytest.raises(ValueError) as raised:
+                        gnum_digits(t)
+                    assert str(raised.value) == str(refusal)
+                else:
+                    assert gnum_digits(t) == expected, render(t)
         finally:
             sys.set_int_max_str_digits(before)
+
+    @pytest.mark.parametrize("n", [10, 11, 12])
+    def test_gnum_digits_of_large_numerals(self, n):
+        # str() would take 0.3, 1 and 4 s on these 124,986, 249,970 and
+        # 499,940 digits, so the text is read back instead: it is
+        # canonical and it parses to gnum.
+        text = gnum_digits(church(n, SF))
+        assert text.isascii() and text.isdigit() and text[0] != "0"
+        assert code_from_digits(text) == gnum(church(n, SF))
+
+    @pytest.mark.parametrize("band", ["below-threshold", "around-threshold", "to-300k-bits"])
+    def test_sqrtrem_is_isqrt_and_remainder(self, band):
+        # math.isqrt takes roots of up to 2,048 bits; above, the recursion.
+        rng = random.Random(band)
+        sizes = {
+            "below-threshold": range(1, 2049, 7),
+            "around-threshold": [rng.randrange(1000, 9000) for _ in range(200)],
+            "to-300k-bits": [int(2 ** rng.uniform(13, 18.2)) for _ in range(12)],
+        }[band]
+        for bits in sizes:
+            root = rng.getrandbits(bits // 2 + 1)
+            for n in (root * root, root * root + 1, max(root * root - 1, 0),
+                      rng.getrandbits(bits)):
+                s = isqrt(n)
+                assert sqrtrem(n) == (s, n - s * s), bits
 
     @pytest.mark.parametrize(
         "length", [1, 4300, 4301, 8600, 8601, 8602, 17_203, 70_000]
@@ -397,14 +463,15 @@ class TestNumbering:
             code_from_digits(text)
 
     def test_a_long_code_parses_quickly(self):
-        # 691,207 digits, as many as the code of 22 S's; int() takes
-        # about 4 s on them, halving about 0.8 s.
-        rng = random.Random(22)
-        text = "".join(rng.choices("0123456789", k=691_207))
+        # The 691,207 digits of the code of 22 S's; int() takes about 4 s
+        # on them, halving about 0.8 s.
+        t = app(*[S] * 22)
+        text = gnum_digits(t)
+        assert len(text) == 691_207
         start = time.perf_counter()
         value = code_from_digits(text)
         assert time.perf_counter() - start < 2.5
-        assert code_digits(value) == text.lstrip("0")
+        assert value == gnum(t)
 
     def test_gterm_rejects_non_codes(self):
         assert gterm(0, SF) is None

@@ -458,6 +458,14 @@ class TestExtensionalAgreement:
         omega = parse("S(SKK)(SKK)(S(SKK)(SKK))", SK)
         assert not extensionally_agree(App(K, omega), App(K, K), SK, [K], budget=200)
 
+    def test_two_budget_stops_agree_whatever_their_terms(self):
+        # Both runs exhaust the budget, on different terms: that is agreement.
+        omega = parse("S(SKK)(SKK)(S(SKK)(SKK))", SK)
+        a, b = App(K, omega), App(K, App(omega, K))
+        ra, rb = (normalize(App(x, K), SK, budget=200) for x in (a, b))
+        assert ra.status is rb.status is Status.BUDGET and ra.term != rb.term
+        assert extensionally_agree(a, b, SK, [K], budget=200)
+
     def test_stuck_outcomes_are_compared(self):
         left, right = parse("F x M", SF), parse("F x N", SF)
         assert normalize(App(left, S), SF).status is Status.STUCK
