@@ -395,6 +395,27 @@ class TestNumbering:
         finally:
             sys.set_int_max_str_digits(before)
 
+    @pytest.mark.parametrize("bits", [1, 64, 1023, 1024, 1025, 2048, 2049, 4097, 70_000])
+    def test_code_digits_are_str(self, bits):
+        # gnum_digits prints a code paired in exact `decimal` arithmetic:
+        # at every size, that pairing and its printing give str() of the
+        # int pairing, and code_from_digits reads the text back.
+        rng = random.Random(bits)
+        values = (0, rng.getrandbits(bits), (1 << bits) - 1, 1 << bits, 10 ** (bits // 3))
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            with decimal.localcontext(models._EXACT):
+                for a in values:
+                    for b in (0, 1, a, rng.getrandbits(bits)):
+                        n = cantor_pair(a, b) + 3
+                        paired = cantor_pair(decimal.Decimal(a), decimal.Decimal(b)) + 3
+                        text = format(paired, "f")
+                        assert text == str(n), (a, b)
+                        assert code_from_digits(text) == n
+        finally:
+            sys.set_int_max_str_digits(before)
+
     @pytest.mark.parametrize("n", [10, 11, 12])
     def test_gnum_digits_of_large_numerals(self, n):
         # str() would take 0.3, 1 and 4 s on these 124,986, 249,970 and
