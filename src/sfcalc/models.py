@@ -20,7 +20,8 @@ from __future__ import annotations
 import decimal
 import random
 from math import ceil, isqrt, log2
-from typing import Any, Callable, NamedTuple, Optional, Sequence, Union
+from operator import mul
+from typing import Any, Callable, Iterable, NamedTuple, Sequence, Union
 
 from .reduction import DEFAULT_BUDGET, Status, normalize
 from .syntax import render
@@ -34,18 +35,61 @@ class ArityError(ValueError):
     applied to the wrong number of arguments."""
 
 
-# Every node compiles itself when it is built.  A node with no PrimRec or
-# Mu inside costs the same on every input and computes one argument plus
-# a constant, or a constant (zero, successor and projections compose into
-# that form), so its code is the summary (cost, j, c): xs[j] + c, or c
-# when j is None.  Any other node's code is a closure run(xs, left) over
-# its parts' closures, where xs is the argument tuple and left a
-# one-element list holding the unspent budget, which each node
-# evaluation charges before it looks at its parts.  A PrimRec whose step
-# is a summary is charged and computed in one step: y turns cost
-# y * cost, charged in one check, and their result has a closed form.
+# Every node compiles itself when it is built.  A node is affine when its
+# cost and its value are each a form c + a1*x1 + ... + ak*xk in its
+# arguments, with natural coefficients: zero, successor and projections
+# are, so is a composition of affine parts, and so is a PrimRec over an
+# affine base whose step adds a constant at a constant cost (addition:
+# value x + y, cost 3y + 2).  Its code is the pair of forms (cost,
+# value), each a tuple (c, (a1, ..., ak)).  Any other node's code is a
+# closure run(xs, left) over its parts' closures, where xs is the
+# argument tuple and left a one-element list holding the unspent budget,
+# which each node evaluation charges before it looks at its parts.  A
+# PrimRec whose step is affine with an accumulator coefficient of 0 or 1
+# charges and computes its turns in one step (`_turns`); other PrimRecs,
+# and every Mu, take their turns one at a time.
+_Form = tuple[int, tuple[int, ...]]
+_Affine = tuple[_Form, _Form]
 _Run = Callable[[tuple[int, ...], list[int]], int]
-_Code = Union[tuple[int, Optional[int], int], _Run]
+_Code = Union[_Affine, _Run]
+
+
+def _at(form: _Form, xs: Sequence[int]) -> int:
+    """The form c + a1*x1 + ... at xs; zip stops at the shorter of the
+    coefficients and xs, so a form can be read at a prefix of its
+    arguments."""
+    c, coefficients = form
+    return c + sum(map(mul, coefficients, xs))
+
+
+def _combine(c: int, terms: Iterable[tuple[int, _Form]], k: int) -> _Form:
+    """c plus the sum of a * form over terms, as one form in k arguments."""
+    out = [0] * k
+    for a, (d, coefficients) in terms:
+        c += a * d
+        for i, b in enumerate(coefficients):
+            out[i] += a * b
+    return c, tuple(out)
+
+
+def _turns(step: _Affine, head: tuple[int, ...], acc: int, y: int) -> tuple[int, int]:
+    """The cost and the result of y >= 1 turns of an affine step from
+    acc, for an accumulator coefficient of 0 or 1.  Turn t costs
+    ch + ca*acc_t + cn*t and makes vh + va*acc_t + vn*t, so the sums over
+    t < y of t, t(t-1)/2 and, for the accumulator, t(t-1)(t-2)/6 give
+    both in closed form."""
+    cost, value = step
+    ch, vh = _at(cost, head), _at(value, head)
+    ca, cn = cost[1][-2:]
+    va, vn = value[1][-2:]
+    s1, s2 = y * (y - 1) // 2, y * (y - 1) * (y - 2) // 6
+    if va:  # acc_t = acc + vh*t + vn*t(t-1)/2
+        accs = y * acc + vh * s1 + vn * s2
+        acc += vh * y + vn * s1
+    else:  # acc_t = vh + vn*(t-1) from the second turn on
+        accs = acc + (y - 1) * vh + vn * (y - 1) * (y - 2) // 2
+        acc = vh + vn * (y - 1)
+    return y * ch + ca * accs + cn * s1, acc
 
 
 class _OutOfBudget(Exception):
@@ -83,15 +127,15 @@ class _Node:
         _set(self, "_code", code)
 
     def _closure(self) -> _Run:
-        """The node's closure; a summary's charges its whole cost in one
-        budget check."""
+        """The node's closure; an affine node's charges its whole cost in
+        one budget check."""
         if not isinstance(self._code, tuple):
             return self._code
-        cost, j, c = self._code
+        cost, value = self._code
 
         def run(xs: tuple[int, ...], left: list[int]) -> int:
-            _charge(left, cost)
-            return c if j is None else xs[j] + c
+            _charge(left, _at(cost, xs))
+            return _at(value, xs)
 
         return run
 
@@ -101,7 +145,7 @@ class Zero(_Node):
 
     __slots__ = ()
     arity = 1
-    _code = (1, None, 0)
+    _code = ((1, (0,)), (0, (0,)))
 
 
 class Succ(_Node):
@@ -109,7 +153,7 @@ class Succ(_Node):
 
     __slots__ = ()
     arity = 1
-    _code = (1, 0, 1)
+    _code = ((1, (0,)), (1, (1,)))
 
 
 class Proj(_Node):
@@ -122,7 +166,8 @@ class Proj(_Node):
             raise ArityError(f"projection index {i} out of range 1..{k}")
         _set(self, "i", i)
         _set(self, "k", k)
-        self._derive(k, (1, i - 1, 0))
+        value = tuple(int(j == i) for j in range(1, k + 1))
+        self._derive(k, ((1, (0,) * k), (0, value)))
 
 
 class Comp(_Node):
@@ -142,12 +187,15 @@ class Comp(_Node):
         arities = {g.arity for g in self.inners}
         if len(arities) != 1:
             raise ArityError(f"inner functions disagree on arity: {sorted(arities)}")
+        k = arities.pop()
         codes = [g._code for g in (self.outer, *self.inners)]
         if all(isinstance(code, tuple) for code in codes):
-            _, i, c = codes[0]  # type: ignore[misc]
-            _, j, d = (0, None, 0) if i is None else codes[1 + i]  # type: ignore[misc]
-            cost = 1 + sum(code[0] for code in codes)  # type: ignore[index]
-            self._derive(arities.pop(), (cost, j, c + d))
+            # The outer forms read the inners' values; the costs add up.
+            (cost, value), *inner = codes  # type: ignore[misc]
+            values = [v for _, v in inner]
+            costs = [(1, c) for c, _ in inner]
+            self._derive(k, (_combine(1 + cost[0], [*zip(cost[1], values), *costs], k),
+                             _combine(value[0], zip(value[1], values), k)))
             return
         outer = self.outer._closure()
         gs = tuple(g._closure() for g in self.inners)
@@ -159,7 +207,7 @@ class Comp(_Node):
                 ys.append(g(xs, left))
             return outer(tuple(ys), left)
 
-        self._derive(arities.pop(), run)
+        self._derive(k, run)
 
 
 class PrimRec(_Node):
@@ -179,25 +227,28 @@ class PrimRec(_Node):
         k = self.base.arity
         if self.step.arity != k + 2:
             raise ArityError(f"recursion step must be {k + 2}-ary, got {self.step.arity}")
+        code = self.step._code
+        if isinstance(code, tuple):
+            (c, cs), (v, vs) = code
+            if not any(cs) and vs == (0,) * k + (1, 0) and isinstance(self.base._code, tuple):
+                # Each turn adds v at cost c, so the loop is affine too.
+                (bc, bcs), (bv, bvs) = self.base._code
+                self._derive(k + 1, ((1 + bc, (*bcs, c)), (bv, (*bvs, v))))
+                return
+        closed = isinstance(code, tuple) and code[1][1][k] < 2
         base, step = self.base._closure(), self.step._closure()
-        summary = self.step._code if isinstance(self.step._code, tuple) else None
 
         def run(xs: tuple[int, ...], left: list[int]) -> int:
             _charge(left, 1)
             head, y = xs[:-1], xs[-1]
             acc = base(head, left)
-            if summary is None or y == 0:
+            if not closed or y == 0:
                 for t in range(y):
                     acc = step(head + (acc, t), left)
                 return acc
-            # y turns of a summary step (head, acc, t)[j] + c: the
-            # accumulator gains c a turn, any other source is read once,
-            # on the last turn (t = y - 1).
-            cost, j, c = summary
-            _charge(left, y * cost)
-            if j == k:
-                return acc + y * c
-            return c if j is None else (head + (acc, y - 1))[j] + c
+            cost, acc = _turns(code, head, acc, y)  # type: ignore[arg-type]
+            _charge(left, cost)
+            return acc
 
         self._derive(k + 1, run)
 
@@ -247,12 +298,13 @@ def eval_rec(f: RecFn, args: Sequence[int], budget: int = DEFAULT_REC_BUDGET) ->
     hanging; a budget stop is ("budget", None, budget) wherever it falls,
     and a negative budget counts as 0.
 
-    f runs as the closures its nodes compiled when they were built (see
-    above): one Python frame per nesting level of PrimRec, Mu and the
-    compositions around them, and none inside a part without PrimRec or
-    Mu.  An evaluation that nests deeper than Python's recursion limit
-    allows (sys.getrecursionlimit(), which counts the caller's frames
-    too) before its budget runs out raises ValueError."""
+    f runs as the code its nodes compiled when they were built (see
+    above): one Python frame per nesting level of the parts that are not
+    affine (a Mu, a PrimRec that does more than add a constant at a
+    constant cost, and the compositions around them), and none inside an
+    affine part.  An evaluation that nests deeper than Python's
+    recursion limit allows (sys.getrecursionlimit(), which counts the
+    caller's frames too) before its budget runs out raises ValueError."""
     if len(args) != f.arity:
         raise ArityError(f"expected {f.arity} arguments, got {len(args)}")
     budget = max(budget, 0)

@@ -171,11 +171,12 @@ def _show_args(xs: Sequence[object]) -> str:
 
 def _compare(shown: str, expected: object, res: ModelResult) -> CheckRow:
     """The row for a target result against the value it should have."""
+    lhs = show_value(expected)
     if res.status != "ok":
-        return CheckRow(shown, show_value(expected), f"({res.status})",
-                        f"target-{res.status}")
-    verdict = "ok" if expected == res.value else "mismatch"
-    return CheckRow(shown, show_value(expected), show_value(res.value), verdict)
+        return CheckRow(shown, lhs, f"({res.status})", f"target-{res.status}")
+    if expected == res.value:  # equal values print equal text
+        return CheckRow(shown, lhs, lhs, "ok")
+    return CheckRow(shown, lhs, show_value(res.value), "mismatch")
 
 
 class SimulationCase(NamedTuple):

@@ -17,6 +17,7 @@ weakening the check.
 from __future__ import annotations
 
 import time
+from typing import NamedTuple
 
 import pytest
 
@@ -37,7 +38,7 @@ from sfcalc.models import (
 from sfcalc.reduction import Status, Strategy, extensionally_agree, normalize
 from sfcalc.stdlib import church
 from sfcalc.syntax import from_polish, parse, render, to_polish
-from sfcalc.terms import Calculus, app
+from sfcalc.terms import Calculus, Term, app
 from sfcalc.turing import EQUALITY_MACHINE, equality_step_bound, run_machine
 from sfcalc.witnesses import (
     build_simulation_cases,
@@ -122,14 +123,22 @@ def test_criterion_04_identity_pair_agrees_yet_eq_separates(sf_catalog):
     assert verdict.term == sf_catalog["false"].body
 
 
-def test_criterion_04b_eq_separates_every_pair_the_probes_cannot(sf_catalog):
+class _Classes(NamedTuple):
+    """SK normal forms grouped by their outcomes on the probe corpus,
+    each form's SF translation, and the seconds the grouping took."""
+
+    classes: list[list[Term]]
+    in_sf: dict[Term, Term]
+    seconds: float
+
+
+@pytest.fixture(scope="module")
+def probe_classes() -> _Classes:
     # Every SK normal form of up to 9 nodes, fingerprinted by its
     # outcomes on the probe corpus (a budget stop's term is not part of
     # the outcome, as in extensionally_agree).  Forms that share a
-    # fingerprint agree on every probe, yet eq on their SF translations
-    # (K as FF) tells each pair apart.  About 0.6 s of fingerprints and
-    # 470k eq steps, 214k of them in the self-checks.
-    clock = _Stopwatch(5.0)
+    # fingerprint agree on every probe.  About 0.6 s.
+    start = time.monotonic()
     probes = build_probe_corpus(SK)
     classes: dict[tuple, list] = {}
     for form in enumerate_normal_forms(SK, 9):
@@ -138,9 +147,19 @@ def test_criterion_04b_eq_separates_every_pair_the_probes_cannot(sf_catalog):
             out = normalize(app(form, probe), SK, budget=2_000)
             outcomes.append((out.status, None if out.status is Status.BUDGET else out.term))
         classes.setdefault(tuple(outcomes), []).append(form)
+    in_sf = {f: parse(render(f).replace("K", "(FF)"), SF) for forms in classes.values() for f in forms}
+    return _Classes(list(classes.values()), in_sf, time.monotonic() - start)
+
+
+def test_criterion_04b_eq_separates_every_pair_the_probes_cannot(sf_catalog, probe_classes):
+    # eq on the SF translations (K as FF) of forms that agree on every
+    # probe tells each pair apart: 470k eq steps, 214k of them in the
+    # self-checks.  The ceiling counts the fingerprints too.
+    clock = _Stopwatch(5.0)
+    clock.start -= probe_classes.seconds
+    classes, in_sf = probe_classes.classes, probe_classes.in_sf
     eq = sf_catalog["eq"].body
     true, false = sf_catalog["true"].body, sf_catalog["false"].body
-    in_sf = {f: parse(render(f).replace("K", "(FF)"), SF) for forms in classes.values() for f in forms}
 
     def verdict(a, b):
         outcome = normalize(app(eq, in_sf[a], in_sf[b]), SF, budget=10**6)
@@ -148,7 +167,7 @@ def test_criterion_04b_eq_separates_every_pair_the_probes_cannot(sf_catalog):
         return outcome.term
 
     pairs = 0
-    for forms in classes.values():
+    for forms in classes:
         for a in forms:
             assert verdict(a, a) == true, render(a)
             for b in forms:
@@ -222,6 +241,25 @@ def test_criterion_08_equality_machine_on_polish_pairs(sf_normal_forms_6):
             expected = "accept" if w1 == w2 else "reject"
             assert run.status == expected, tape
             assert run.steps <= equality_step_bound(len(tape)), tape
+    clock.check()
+
+
+def test_criterion_08b_equality_machine_on_pairs_the_probes_cannot_separate(probe_classes):
+    # The Polish words of criterion 04b's forms: the machine rejects each
+    # of the 360 probe-agreeing pairs and accepts each form against itself,
+    # within its step bound.
+    clock = _Stopwatch(5.0)
+    words = {f: to_polish(t) for f, t in probe_classes.in_sf.items()}
+    pairs = 0
+    for forms in probe_classes.classes:
+        for a in forms:
+            for b in forms:
+                tape = f"{words[a]}#{words[b]}"
+                run = run_machine(EQUALITY_MACHINE, tape, budget=10**6)
+                assert run.status == ("accept" if a is b else "reject"), tape
+                assert run.steps <= equality_step_bound(len(tape)), tape
+                pairs += a is not b
+    assert pairs == 360
     clock.check()
 
 

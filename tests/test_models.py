@@ -48,7 +48,15 @@ from sfcalc.stdlib import church
 from sfcalc.syntax import render
 from sfcalc.terms import App, Calculus, F, S, Var, app
 from sfcalc.turing import IDENTITY_MACHINE, parse_machine, turing_model
-from sfcalc.witnesses import SimulationCase, WeakEquivalenceCase, rec_add, rec_const
+from sfcalc.witnesses import (
+    SimulationCase,
+    WeakEquivalenceCase,
+    _tri,
+    rec_add,
+    rec_cantor_pair,
+    rec_const,
+    rec_mul,
+)
 
 from rec_oracle import reference_eval_rec
 
@@ -97,20 +105,43 @@ class TestRecArity:
 
     def test_five_hundred_nested_compositions_evaluate(self):
         assert eval_rec(rec_const(500, 1), [0], budget=10_000) == RecOutcome("ok", 500, 1001)
-        # The same depth over a recursion, so that every level is a call.
+        # The same depth over an affine recursion takes no call at all,
+        # and over multiplication, whose step's cost reads the
+        # accumulator, every level is a call.
         program: RecFn = rec_add
         for _ in range(500):
             program = Comp(SUCC, (program,))
         assert eval_rec(program, [2, 3], budget=10_000) == RecOutcome("ok", 505, 1011)
+        program = rec_mul
+        for _ in range(500):
+            program = Comp(SUCC, (program,))
+        assert eval_rec(program, [2, 3], budget=10_000) == RecOutcome("ok", 506, 1035)
 
     def test_nesting_past_the_recursion_limit_raises_value_error(self):
-        program: RecFn = rec_add
-        for _ in range(2 * sys.getrecursionlimit()):
+        levels = 2 * sys.getrecursionlimit()
+        program: RecFn = rec_mul
+        for _ in range(levels):
             program = Comp(SUCC, (program,))
         with pytest.raises(ValueError, match="nests too deeply"):
             eval_rec(program, [2, 3], budget=10**9)
         # A budget that stops the evaluation first still decides it.
         assert eval_rec(program, [2, 3], budget=100) == RecOutcome("budget", None, 100)
+        # The same tower over addition is affine and takes no frame.
+        program = rec_add
+        for _ in range(levels):
+            program = Comp(SUCC, (program,))
+        assert eval_rec(program, [2, 3], budget=10**9) == RecOutcome(
+            "ok", 5 + levels, 11 + 2 * levels)
+
+    def test_a_base_that_nests_too_deeply_raises_before_its_turns_are_charged(self):
+        # The turns come after the base: their cost, far past the budget,
+        # is not charged before the base's nesting is found too deep.
+        base: RecFn = rec_mul
+        for _ in range(2 * sys.getrecursionlimit()):
+            base = Comp(SUCC, (base,))
+        program = PrimRec(base, Comp(SUCC, (Proj(3, 4),)))
+        with pytest.raises(ValueError, match="nests too deeply"):
+            eval_rec(program, [2, 3, 10**12], budget=10**9)
 
 
 class TestEvalRec:
@@ -178,20 +209,44 @@ def _random_recfn(rng: random.Random, k: int, depth: int) -> RecFn:
     return Mu(_random_recfn(rng, k + 1, depth - 1))
 
 
-#: Programs whose PrimRec step has no PrimRec or Mu inside, so that it
-#: compiles to a summary xs[j] + c or c; one or more for each source of
-#: the value: the accumulator, a head argument, the counter or none.
+#: Programs whose PrimRec step has no PrimRec or Mu inside and costs the
+#: same on every turn; one or more for each source of the value: the
+#: accumulator, a head argument, the counter or none.
 _SUMMARY_SHAPES: list[RecFn] = [
     PrimRec(Proj(1, 1), Comp(SUCC, (Proj(2, 3),))),  # acc + 1: add
     PrimRec(Proj(1, 1), Proj(2, 3)),  # acc
     PrimRec(Proj(2, 2), Comp(SUCC, (Comp(SUCC, (Proj(3, 4),)),))),  # acc + 2
-    PrimRec(rec_add, Comp(SUCC, (Proj(3, 4),))),  # acc + 1 over a looping base
+    PrimRec(rec_add, Comp(SUCC, (Proj(3, 4),))),  # acc + 1 over an affine base
     PrimRec(SUCC, Comp(SUCC, (Proj(1, 3),))),  # head + 1
     PrimRec(rec_add, Proj(2, 4)),  # head
     PrimRec(ZERO, Proj(3, 3)),  # counter: pred
     PrimRec(Proj(1, 1), Comp(SUCC, (Comp(SUCC, (Proj(3, 3),)),))),  # counter + 2
     PrimRec(Proj(1, 1), Comp(ZERO, (Proj(1, 3),))),  # 0
     PrimRec(ZERO, rec_const(3, 3)),  # 3
+]
+
+#: double(x, y) = x * 2**y: accumulator coefficient 2, so it loops.
+_double = PrimRec(Proj(1, 1), Comp(rec_add, (Proj(2, 3), Proj(2, 3))))
+
+#: Programs whose PrimRec step is affine and whose cost moves from turn to
+#: turn, because it calls addition, a loop of its own.
+_AFFINE_SHAPES: list[RecFn] = [
+    _tri,  # acc + counter + 1, at a cost that reads the counter
+    rec_mul,  # acc + head, at a cost that reads the accumulator
+    # acc + 1, at a cost that reads the head and the counter
+    PrimRec(Proj(1, 1), Comp(Proj(1, 3), (
+        Comp(SUCC, (Proj(2, 3),)),
+        Comp(rec_add, (Proj(1, 3), Proj(3, 3))),
+        Comp(rec_add, (Proj(3, 3), Proj(1, 3))),
+    ))),
+    PrimRec(Proj(1, 1), Comp(rec_add, (Proj(3, 3), Proj(2, 3)))),  # counter + acc
+    PrimRec(Proj(1, 1), Comp(rec_add, (rec_const(1, 3), Proj(2, 3)))),  # 1 + acc
+    # head + counter, at a cost that reads the accumulator, over a loop
+    PrimRec(_double, Comp(Proj(1, 2), (
+        Comp(rec_add, (Proj(1, 4), Proj(4, 4))),
+        Comp(rec_add, (Proj(1, 4), Proj(3, 4))),
+    ))),
+    _double,  # 2 * acc: loops, one turn at a time
 ]
 
 
@@ -249,35 +304,84 @@ class TestEvalRecAgainstOracle:
         assert reference_eval_rec(never_zero, [0], 10**6) == want
         assert eval_rec(never_zero, [0], 10**6) == want
 
-    @pytest.mark.parametrize("f", _SUMMARY_SHAPES, ids=_spell)
+    @pytest.mark.parametrize("f", _SUMMARY_SHAPES + _AFFINE_SHAPES, ids=_spell)
     def test_loops_over_a_summary(self, f):
-        # Recursion arguments up to 200, and a budget sweep through the
-        # whole evaluation, so that stops land inside the block of turns
-        # that is charged at once.
+        # Recursion arguments up to 200, and at y = 40 a budget sweep
+        # through the whole evaluation, so that stops land inside the
+        # block of turns that is charged at once.  Below its cost the
+        # reference stops at every budget, with that budget as its count,
+        # so the sweep compares with that outcome instead of running the
+        # reference once a budget.
         for head in (0, 5):
             for y in (0, 1, 2, 7, 40, 199, 200):
                 args = [head] * (f.arity - 1) + [y]
                 want = reference_eval_rec(f, args, 10_000)
                 budgets = {0, 1, 2, 3, 10, 100, 10_000}
                 if want.status == "ok":
-                    budgets |= {want.evals - 1, want.evals}
-                if y == 40:
-                    budgets |= set(range(want.evals + 2))
+                    budgets |= {want.evals - 1, want.evals, want.evals + 1}
                 for budget in sorted(budgets):
                     assert eval_rec(f, args, budget) == reference_eval_rec(
                         f, args, budget), (f, args, budget)
+                if y == 40 and want.status == "ok":
+                    for budget in range(want.evals):
+                        assert eval_rec(f, args, budget) == RecOutcome(
+                            "budget", None, budget), (f, args, budget)
 
 
 class TestClosedForms:
-    """Recursion over a fixed-cost step takes no time per turn.  This
-    would run for hours one turn at a time, so a lost closed form shows
-    up as a hang."""
+    """Recursion over an affine step takes no time per turn.  This would
+    run for hours one turn at a time, so a lost closed form shows up as a
+    hang."""
 
     def test_addition_of_a_huge_number(self):
         n = 10**12
         assert eval_rec(rec_add, [0, n], budget=10**13) == RecOutcome("ok", n, 3 * n + 2)
         assert eval_rec(rec_add, [0, n], budget=3 * n + 1) == RecOutcome(
             "budget", None, 3 * n + 1)
+
+    @staticmethod
+    def mul_evals(x: int, y: int) -> int:
+        # The recursion and its base (2), then turn t: two projections in
+        # a composition (3) and addition of x to t * x (3 * t * x + 2).
+        # The sum over t < y of 5 + 3 * t * x:
+        return 2 + 5 * y + 3 * x * (y * (y - 1) // 2)
+
+    @staticmethod
+    def tri_evals(n: int) -> int:
+        # The diagonal (3), the recursion and its base (2), then turn t:
+        # the composition, a projection, the successor of t (3), and
+        # addition of t + 1 (3 * (t + 1) + 2).  The sum over t < n of
+        # 10 + 3 * t:
+        return 5 + 10 * n + 3 * (n * (n - 1) // 2)
+
+    def cantor_evals(self, a: int, b: int) -> int:
+        # The composition, a projection, two additions that each take b
+        # turns (2 * (3 * b + 2)), the composition around tri and tri(a + b).
+        return 7 + 6 * b + self.tri_evals(a + b)
+
+    def test_the_sums_are_the_model_s(self):
+        for x in range(6):
+            for y in range(8):
+                assert reference_eval_rec(rec_mul, [x, y], 10**6) == (
+                    "ok", x * y, self.mul_evals(x, y))
+                assert reference_eval_rec(rec_cantor_pair, [x, y], 10**6) == (
+                    "ok", cantor_pair(x, y), self.cantor_evals(x, y))
+            assert reference_eval_rec(_tri, [x], 10**6) == (
+                "ok", x * (x + 1) // 2, self.tri_evals(x))
+        for n in range(300):
+            assert self.mul_evals(3, n) == 2 + sum(5 + 9 * t for t in range(n))
+            assert self.tri_evals(n) == 5 + sum(10 + 3 * t for t in range(n))
+
+    @pytest.mark.parametrize("n", [10**9, 10**10 + 7, 10**12])
+    def test_multiplication_triangles_and_pairing_of_huge_numbers(self, n):
+        for f, args, value, evals in (
+            (rec_mul, [n, n + 3], n * (n + 3), self.mul_evals(n, n + 3)),
+            (rec_mul, [0, n], 0, self.mul_evals(0, n)),
+            (_tri, [n], n * (n + 1) // 2, self.tri_evals(n)),
+            (rec_cantor_pair, [n, 2 * n], cantor_pair(n, 2 * n), self.cantor_evals(n, 2 * n)),
+        ):
+            assert eval_rec(f, args, budget=evals) == RecOutcome("ok", value, evals)
+            assert eval_rec(f, args, budget=evals - 1) == RecOutcome("budget", None, evals - 1)
 
 
 class TestCompiledLifetime:
