@@ -1,10 +1,14 @@
 """Combinator terms for the SK and SF calculi.
 
 Terms are immutable binary application trees over operator atoms and
-variables.  Every node caches its size, spine-head operator, applied
-argument count, closedness, operator bitmask, and hash at construction
-time, so rule matching and calculus legality checks are O(1) and
-structural equality can shortcut on hashes.
+variables.  Every node computes its size, spine-head operator, applied
+argument count and operator bitmask (with a bit for variables, so it
+also says whether the term is closed) at construction time, so rule
+matching and calculus legality checks are O(1).  The structural hash is
+computed on first read: reduction builds millions of nodes and reads no
+hash, while equality, `hash` and capped printing read it.  A first read
+fills the hash of every unfilled node below in one walk, so a node with a
+hash has hashed descendants, and equality can shortcut on hashes.
 
 A term may share subterms, so it is a DAG.  Every walk here visits a
 shared node once: equality visits each pair of nodes once, and
@@ -26,6 +30,7 @@ from typing import Callable, Mapping, Optional
 ARITY: dict[str, int] = {"S": 3, "K": 2, "F": 3}
 
 _OP_BIT = {"S": 1, "K": 2, "F": 4}
+_VAR_BIT = 8  # in `ops`: the term contains a variable
 _HASH_MASK = (1 << 61) - 1
 
 
@@ -56,8 +61,9 @@ class CalculusError(ValueError):
 
 def check_calculus(t: Term, calc: Calculus) -> None:
     """Raise CalculusError if t mentions an operator illegal in calc."""
-    if t.ops & ~calc.op_mask:
-        bad = [o for o, bit in _OP_BIT.items() if t.ops & bit & ~calc.op_mask]
+    foreign = t.ops & ~(calc.op_mask | _VAR_BIT)
+    if foreign:
+        bad = [o for o, bit in _OP_BIT.items() if foreign & bit]
         raise CalculusError(
             f"operator {', '.join(sorted(bad))} is illegal in"
             f" {calc.name}-calculus"
@@ -70,33 +76,44 @@ def check_calculus(t: Term, calc: Calculus) -> None:
 class Term:
     """Base class of Atom, Var, and App.  Instances are immutable.
 
-    Cached fields:
+    Computed at construction:
       size    node count (atoms, vars, and applications all count 1)
       head    spine-head operator name, or None for a variable-headed spine
       nargs   number of arguments the spine head has been applied to
-      closed  True iff the term contains no Var node
-      ops     bitmask of the operator atoms occurring anywhere in the term
-      h       structural hash
+      ops     bitmask of the operator atoms occurring anywhere in the term,
+              plus a variable bit if a Var occurs
+    Read through properties:
+      closed  True iff the term contains no Var node (the variable bit)
+      h       structural hash, computed on first read (kept in `_h`)
     """
 
-    __slots__ = ("size", "head", "nargs", "closed", "ops", "h")
+    __slots__ = ("size", "head", "nargs", "ops", "_h")
 
     size: int
     head: Optional[str]
     nargs: int
-    closed: bool
     ops: int
-    h: int
+    _h: Optional[int]
+
+    @property
+    def closed(self) -> bool:
+        return not self.ops & _VAR_BIT
+
+    @property
+    def h(self) -> int:
+        h = self._h
+        return _fill_hashes(self) if h is None else h  # type: ignore[arg-type]
 
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
         if not isinstance(other, Term):
             return NotImplemented
-        if self.h != other.h or self.size != other.size:
+        if self.size != other.size or self.h != other.h:
             return False
         # Walk the pair DAG, not the tree: a pair of shared nodes met
-        # again was already found equal or is still on the stack.
+        # again was already found equal or is still on the stack.  Both
+        # roots are hashed now, so every node below has its `_h`.
         seen: set[tuple[int, int]] = set()
         stack = [(self, other)]
         while stack:
@@ -107,7 +124,7 @@ class Term:
             if ta is not type(b):
                 return False
             if ta is App:
-                if a.h != b.h:
+                if a._h != b._h:
                     return False
                 pair = (id(a), id(b))
                 if pair in seen:
@@ -140,9 +157,8 @@ class Atom(Term):
         self.size = 1
         self.head = name
         self.nargs = 0
-        self.closed = True
         self.ops = _OP_BIT[name]
-        self.h = zlib.crc32(b"op:" + name.encode()) & _HASH_MASK
+        self._h = zlib.crc32(b"op:" + name.encode()) & _HASH_MASK
 
 
 class Var(Term):
@@ -162,9 +178,8 @@ class Var(Term):
         self.size = 1
         self.head = None
         self.nargs = 0
-        self.closed = False
-        self.ops = 0
-        self.h = zlib.crc32(b"var:" + name.encode()) & _HASH_MASK
+        self.ops = _VAR_BIT
+        self._h = zlib.crc32(b"var:" + name.encode()) & _HASH_MASK
 
 
 class App(Term):
@@ -178,9 +193,28 @@ class App(Term):
         self.size = fun.size + arg.size + 1
         self.head = fun.head
         self.nargs = fun.nargs + 1
-        self.closed = fun.closed and arg.closed
         self.ops = fun.ops | arg.ops
-        self.h = (fun.h * 2654435761 + arg.h * 40503 + 3) & _HASH_MASK
+        self._h = None
+
+
+def _fill_hashes(t: App) -> int:
+    """Fill the hash of t and of every unfilled node below it; return t's.
+
+    An explicit-stack post-order walk: the stack is a path down from t
+    whose nodes are all unfilled, and a node is filled once both its
+    sides are, so each node is hashed once and no recursion happens."""
+    stack = [t]
+    while stack:
+        u = stack[-1]
+        fh, ah = u.fun._h, u.arg._h
+        if fh is None:
+            stack.append(u.fun)
+        elif ah is None:
+            stack.append(u.arg)
+        else:
+            u._h = (fh * 2654435761 + ah * 40503 + 3) & _HASH_MASK
+            stack.pop()
+    return t._h  # type: ignore[return-value]
 
 
 #: The characters of a lowercase variable name.

@@ -42,6 +42,8 @@ class Mutant(NamedTuple):
 
 
 _MODELS = "src/sfcalc/models.py"
+_REDUCTION = "src/sfcalc/reduction.py"
+_TERMS = "src/sfcalc/terms.py"
 
 MUTANTS = [
     Mutant(_MODELS,
@@ -101,10 +103,78 @@ MUTANTS = [
            "_combine(1 + cost[0], ",
            "_combine(cost[0], ",
            "an affine composition does not charge its own evaluation"),
-    Mutant("src/sfcalc/reduction.py",
+    Mutant(_REDUCTION,
            "        if ra.status is not Status.BUDGET and ra.term != rb.term:\n",
            "        if ra.term != rb.term:\n",
            "extensionally_agree compares the terms of two budget stops"),
+    Mutant(_REDUCTION,
+           "        return RULE_S, App(App(x, z), App(y, z))\n",
+           "        return RULE_S, App(App(x, z), App(z, y))\n",
+           "S-rule contractum: y z built as z y"),
+    Mutant(_REDUCTION,
+           "        x, y, z = f1.fun.arg, f1.arg, u.arg\n",
+           "        y, x, z = f1.fun.arg, f1.arg, u.arg\n",
+           "S-rule contractum: x and y swapped"),
+    Mutant(_REDUCTION,
+           "        return RULE_F_COMPOUND, App(App(u.arg, a1.fun), a1.arg)\n",
+           "        return RULE_F_COMPOUND, App(App(u.fun.arg, a1.fun), a1.arg)\n",
+           "F-compound contractum: M P Q in place of N P Q"),
+    Mutant(_REDUCTION,
+           "        return RULE_F_COMPOUND, App(App(u.arg, a1.fun), a1.arg)\n",
+           "        return RULE_F_COMPOUND, App(App(u.arg, a1.arg), a1.fun)\n",
+           "F-compound contractum: N Q P in place of N P Q"),
+    Mutant(_REDUCTION,
+           "                if known is not None and steps + known[2] <= budget:\n",
+           "                if known is not None:\n",
+           "memo: a reuse may cross the budget"),
+    Mutant(_REDUCTION,
+           "                if known is not None and steps + known[2] <= budget:\n",
+           "                if known is not None and steps + known[2] < budget:\n",
+           "memo: no reuse that lands exactly on the budget",
+           equivalent="the copy is then reduced instead, in exactly the recorded "
+           "steps (a frame's steps do not depend on where its argument sits), so "
+           "it ends on the budget with an equal normal form, and the next firing "
+           "stops on the same step and term"),
+    Mutant(_REDUCTION,
+           "                    steps += known[2]\n",
+           "",
+           "memo: a reuse charges no steps"),
+    Mutant(_REDUCTION,
+           "                    memo[id(src)] = (src, w, steps - frame[3])\n",
+           "                    memo[id(src)] = (src, w, steps)\n",
+           "memo: records the call's steps so far, not the argument's"),
+    Mutant(_REDUCTION,
+           "                    memo[id(src)] = (src, w, steps - frame[3])\n",
+           "                    memo[id(w)] = (src, w, steps - frame[3])\n",
+           "memo: keyed by the normal form, not by the argument"),
+    Mutant(_REDUCTION,
+           "            frame[3] = steps\n",
+           "",
+           "memo: an argument's steps counted from the frame's first argument"),
+    Mutant(_TERMS,
+           "        fh, ah = u.fun._h, u.arg._h\n",
+           "        fh, ah = u.fun._h, u.arg._h or 0\n",
+           "hash fill: a parent filled before its argument side"),
+    Mutant(_TERMS,
+           "        fh, ah = u.fun._h, u.arg._h\n",
+           "        fh, ah = u.fun._h, u.arg.h\n",
+           "hash fill: the argument side hashed by recursion"),
+    Mutant(_TERMS,
+           "            u._h = (fh * 2654435761 + ah * 40503 + 3) & _HASH_MASK\n",
+           "            u._h = (fh * 40503 + ah * 2654435761 + 3) & _HASH_MASK\n",
+           "hash fill: the two multipliers swapped"),
+    Mutant(_TERMS,
+           "        self.ops = _VAR_BIT\n",
+           "        self.ops = 0\n",
+           "Var: no variable bit in ops"),
+    Mutant(_TERMS,
+           "    c: sum(_OP_BIT[o] for o in ops) for c, ops in _OPERATORS.items()\n",
+           "    c: sum(_OP_BIT[o] for o in ops) | _VAR_BIT for c, ops in _OPERATORS.items()\n",
+           "op_mask: the variable bit let in"),
+    Mutant(_TERMS,
+           "    foreign = t.ops & ~(calc.op_mask | _VAR_BIT)\n",
+           "    foreign = t.ops & ~calc.op_mask\n",
+           "check_calculus: the variable bit counts as a foreign operator"),
 ]
 
 

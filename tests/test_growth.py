@@ -193,3 +193,25 @@ def test_gnum_of_nested_s_is_linear_in_the_depth():
     # The codes' bit lengths double at each level; the big-int products
     # are C-level and unseen here; the godel timing tests in test_cli time them.
     assert_linear(lambda k: functools.partial(gnum, parse(TERM_TEXTS["nested"](k), SK)), 2)
+
+
+def test_hash_of_a_doubling_tower_is_linear_in_its_distinct_nodes():
+    # t = App(t, t) k times: 2**(k + 1) - 1 tree nodes, k + 1 distinct ones.
+    def make(k):
+        t = Var("x")
+        for _ in range(k):
+            t = App(t, t)
+        return lambda: t.h
+
+    assert_linear(make)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_hash_of_a_fresh_spine_is_linear(side):
+    def make(k):
+        t = Var("x")
+        for _ in range(k):
+            t = App(t, Var("y")) if side == "left" else App(Var("y"), t)
+        return lambda: t.h
+
+    assert_linear(make)

@@ -364,6 +364,14 @@ class TestCallByNeed:
         assert normalize(t, SF).steps_taken == 19
         assert_memo_is_step_exact(t, SF, top=40)
 
+    def test_a_reused_argument_is_charged_its_own_steps(self):
+        # v's frame spends a step on KSS before it records z, one object
+        # sitting twice; reusing z charges z's one step, not the frame's two.
+        z = app(K, K, K)
+        t = app(Var("v"), app(K, S, S), z, z)
+        assert normalize(t, SK).steps_taken == 3
+        assert_memo_is_step_exact(t, SK, top=5)
+
 
 class TestSpineArguments:
     def test_godelize_builds_at_most_three_apps_a_step(self, sf_terms, monkeypatch):

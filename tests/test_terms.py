@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import functools
+import operator
 import random
+import zlib
 
 import pytest
 from hypothesis import given, strategies as st
@@ -125,6 +128,16 @@ class TestConstruction:
             check_calculus(F, Calculus.SK)
         check_calculus(App(S, F), Calculus.SF)
 
+    def test_check_calculus_on_open_terms_names_only_the_foreign_operator(self):
+        x = Var("x")
+        for calc, foreign in ((Calculus.SF, "K"), (Calculus.SK, "F")):
+            check_calculus(app(S, x, x), calc)
+            check_calculus(x, calc)
+            message = f"operator {foreign} is illegal in {calc.name}-calculus"
+            with pytest.raises(CalculusError) as info:
+                check_calculus(app(S, x, Atom(foreign), x), calc)
+            assert str(info.value) == message
+
 
 class TestMeasures:
     def test_size_counts_nodes(self):
@@ -144,12 +157,102 @@ class TestMeasures:
         assert not Var("x").closed
         assert not app(S, Var("x")).closed
 
+    def test_ops_and_closed_on_each_node_kind(self):
+        x = Var("x")
+        bits = [S.ops, K.ops, F.ops, x.ops]
+        assert all(bits) and sum(bits) == S.ops | K.ops | F.ops | x.ops
+        assert S.closed and K.closed and F.closed and not x.closed
+        assert Var("y").ops == x.ops
+        for calc in Calculus:
+            assert calc.op_mask == sum(Atom(o).ops for o in calc.operators)
+        t = app(S, K, x)
+        assert t.ops == S.ops | K.ops | x.ops and not t.closed
+        assert app(S, F, S).ops == S.ops | F.ops and app(S, F, S).closed
+
+    @given(terms_st(Calculus.SF, with_vars=True))
+    def test_ops_and_closed_follow_the_leaves(self, t):
+        leaves = [u for u in dag_postorder(t, lambda u: False) if not isinstance(u, App)]
+        assert t.ops == functools.reduce(operator.or_, (u.ops for u in leaves))
+        assert t.closed == (not ref_free_vars(t))
+
     @given(terms_st(Calculus.SF, with_vars=True))
     def test_size_is_node_count(self, t):
         def count(u):
             return 1 if not isinstance(u, App) else 1 + count(u.fun) + count(u.arg)
 
         assert t.size == count(t)
+
+
+_MASK = (1 << 61) - 1
+
+
+def ref_hash(t, memo=None):
+    """The structural hash that `<term of N nodes, hash H>` prints, stated
+    again, recursively, with a memo so that shared DAGs stay cheap."""
+    memo = {} if memo is None else memo
+    if id(t) not in memo:
+        if isinstance(t, App):
+            value = ref_hash(t.fun, memo) * 2654435761 + ref_hash(t.arg, memo) * 40503 + 3
+        else:
+            value = zlib.crc32(f"{'op' if isinstance(t, Atom) else 'var'}:{t.name}".encode())
+        memo[id(t)] = value & _MASK
+    return memo[id(t)]
+
+
+def rebuilt(t):
+    """An equal copy of t that shares no application node with it."""
+    return App(rebuilt(t.fun), rebuilt(t.arg)) if isinstance(t, App) else t
+
+
+class TestHash:
+    """`h` is filled on first read; its value does not depend on when."""
+
+    def test_leaves(self):
+        assert S.h == zlib.crc32(b"op:S") and Var("x").h == zlib.crc32(b"var:x")
+
+    @given(terms_st(Calculus.SF, with_vars=True), st.randoms(use_true_random=False))
+    def test_h_is_the_reference_hash_in_any_read_order(self, t, rng):
+        nodes = dag_postorder(rebuilt(t), lambda u: False)
+        memo = {}
+        for u in rng.sample(nodes, len(nodes)):
+            assert u.h == ref_hash(u, memo)
+
+    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.parametrize("calc", list(Calculus))
+    def test_h_of_shared_dags(self, calc, seed):
+        rng = random.Random(seed)
+        t = random_dag(calc, rng, nodes=60)
+        nodes = dag_postorder(t, lambda u: False)
+        for u in rng.sample(nodes, 3):
+            u.h
+        memo = {}
+        assert [u.h for u in nodes] == [ref_hash(u, memo) for u in nodes]
+
+    def test_h_of_a_tower_of_2_to_the_65_tree_nodes(self):
+        assert d_power_normal_form(64).h == ref_hash(d_power_normal_form(64))
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_long_spines_hash_without_recursion(self, side):
+        n = 200_000
+        t, expected = S, S.h
+        for _ in range(n):
+            if side == "left":
+                t = App(t, K)
+                expected = (expected * 2654435761 + K.h * 40503 + 3) & _MASK
+            else:
+                t = App(K, t)
+                expected = (K.h * 2654435761 + expected * 40503 + 3) & _MASK
+        assert t.size == 2 * n + 1
+        assert t.h == expected
+
+    @given(terms_st(Calculus.SF, with_vars=True), st.sampled_from(["a", "b", "neither"]))
+    def test_equal_terms_built_apart_are_equal_whichever_is_hashed_first(self, t, first):
+        a, b = rebuilt(t), rebuilt(t)
+        if first != "neither":
+            (a if first == "a" else b).h
+        assert a == b and b == a
+        assert hash(a) == hash(b) == ref_hash(t)
+        assert len({a, b}) == 1
 
 
 class TestSubstitute:
