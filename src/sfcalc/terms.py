@@ -6,16 +6,15 @@ argument count and operator bitmask (with a bit for variables, so it
 also says whether the term is closed) at construction time, so rule
 matching and calculus legality checks are O(1).  The structural hash is
 computed on first read: reduction builds millions of nodes and reads no
-hash, while equality, `hash` and capped printing read it.  A first read
-fills the hash of every unfilled node below in one walk, so a node with a
-hash has hashed descendants, and equality can shortcut on hashes.
+hash, while `hash` and capped printing read it.  Equality compares
+structure alone.
 
 A term may share subterms, so it is a DAG.  Every walk here visits a
 shared node once: equality visits each pair of nodes once, and
-`dag_postorder` lists each node once for `free_vars`, `substitute`, the
-stuck check and bracket abstraction.  So their cost is the DAG size, not
-the tree size, and `substitute` keeps every unchanged node, so sharing
-survives it.
+`dag_postorder` lists each node once for the hash, `free_vars`,
+`substitute`, the stuck check and bracket abstraction.  So their cost is
+the DAG size, not the tree size, and `substitute` keeps every unchanged
+node, so sharing survives it.
 """
 
 from __future__ import annotations
@@ -84,7 +83,7 @@ class Term:
               plus a variable bit if a Var occurs
     Read through properties:
       closed  True iff the term contains no Var node (the variable bit)
-      h       structural hash, computed on first read (kept in `_h`)
+      h       structural hash, filled on first read (kept in `_h`)
     """
 
     __slots__ = ("size", "head", "nargs", "ops", "_h")
@@ -101,19 +100,22 @@ class Term:
 
     @property
     def h(self) -> int:
-        h = self._h
-        return _fill_hashes(self) if h is None else h  # type: ignore[arg-type]
+        if self._h is None:
+            for u in dag_postorder(self, _hashed):
+                if u._h is None:  # an App: leaves are hashed when built
+                    fh, ah = u.fun._h, u.arg._h  # type: ignore[attr-defined]
+                    u._h = (fh * 2654435761 + ah * 40503 + 3) & _HASH_MASK
+        return self._h  # type: ignore[return-value]
 
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
         if not isinstance(other, Term):
             return NotImplemented
-        if self.size != other.size or self.h != other.h:
+        if self.size != other.size:
             return False
         # Walk the pair DAG, not the tree: a pair of shared nodes met
-        # again was already found equal or is still on the stack.  Both
-        # roots are hashed now, so every node below has its `_h`.
+        # again was already found equal or is still on the stack.
         seen: set[tuple[int, int]] = set()
         stack = [(self, other)]
         while stack:
@@ -124,8 +126,6 @@ class Term:
             if ta is not type(b):
                 return False
             if ta is App:
-                if a._h != b._h:
-                    return False
                 pair = (id(a), id(b))
                 if pair in seen:
                     continue
@@ -197,26 +197,6 @@ class App(Term):
         self._h = None
 
 
-def _fill_hashes(t: App) -> int:
-    """Fill the hash of t and of every unfilled node below it; return t's.
-
-    An explicit-stack post-order walk: the stack is a path down from t
-    whose nodes are all unfilled, and a node is filled once both its
-    sides are, so each node is hashed once and no recursion happens."""
-    stack = [t]
-    while stack:
-        u = stack[-1]
-        fh, ah = u.fun._h, u.arg._h
-        if fh is None:
-            stack.append(u.fun)
-        elif ah is None:
-            stack.append(u.arg)
-        else:
-            u._h = (fh * 2654435761 + ah * 40503 + 3) & _HASH_MASK
-            stack.pop()
-    return t._h  # type: ignore[return-value]
-
-
 #: The characters of a lowercase variable name.
 NAME_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789_")
 
@@ -264,15 +244,15 @@ def dag_postorder(t: Term, stop: Callable[[App], bool]) -> list[Term]:
     """
     order: list[Term] = []
     seen: set[int] = set()
-    stack: list[tuple[Term, bool]] = [(t, False)]
+    stack: list[Optional[Term]] = [t]
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
+        node = stack.pop()
+        if node is None:  # the application below has its subterms listed
+            order.append(stack.pop())  # type: ignore[arg-type]
         elif id(node) not in seen:
             seen.add(id(node))
             if type(node) is App and not stop(node):
-                stack += [(node, True), (node.arg, False), (node.fun, False)]
+                stack += (node, None, node.arg, node.fun)
             else:
                 order.append(node)
     return order
@@ -280,6 +260,10 @@ def dag_postorder(t: Term, stop: Callable[[App], bool]) -> list[Term]:
 
 def _closed(t: Term) -> bool:
     return t.closed
+
+
+def _hashed(t: Term) -> bool:
+    return t._h is not None
 
 
 def free_vars(t: Term) -> frozenset[str]:

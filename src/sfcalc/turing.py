@@ -114,8 +114,6 @@ def _sweep_pattern(passed: set[int], typecode: str) -> re.Pattern[bytes]:
     matched from a cell boundary of a tape array with that typecode."""
     units = [b"".join(b"\\x%02x" % b for b in array(typecode, [c]).tobytes())
              for c in sorted(passed)]
-    if typecode == "B":
-        return re.compile(b"[" + b"".join(units) + b"]*")
     return re.compile(b"(?:" + b"|".join(units) + b")*")
 
 

@@ -44,6 +44,7 @@ class Mutant(NamedTuple):
 _MODELS = "src/sfcalc/models.py"
 _REDUCTION = "src/sfcalc/reduction.py"
 _TERMS = "src/sfcalc/terms.py"
+_TURING = "src/sfcalc/turing.py"
 
 MUTANTS = [
     Mutant(_MODELS,
@@ -103,6 +104,11 @@ MUTANTS = [
            "_combine(1 + cost[0], ",
            "_combine(cost[0], ",
            "an affine composition does not charge its own evaluation"),
+    Mutant(_MODELS,
+           "        return parse(digits[:-low]) * powers[low] + parse(digits[-low:])\n",
+           "        return parse(digits[:low]) * powers[low] + parse(digits[low:])\n",
+           "code_from_digits: halves split after the first `low` digits, "
+           "so an odd-length back half is one digit longer than its power"),
     Mutant(_REDUCTION,
            "        if ra.status is not Status.BUDGET and ra.term != rb.term:\n",
            "        if ra.term != rb.term:\n",
@@ -151,18 +157,45 @@ MUTANTS = [
            "            frame[3] = steps\n",
            "",
            "memo: an argument's steps counted from the frame's first argument"),
+    Mutant(_REDUCTION,
+           """                    stack.append((1, w, True))
+                    w = w.arg
+""",
+           """                    stack.append((0, w, w.arg))
+                    w = w.fun
+""",
+           "applicative walk: the S-rule's y z not checked after a step"),
+    Mutant(_REDUCTION,
+           """                    stack.append((0, w, w.arg))
+                    w = w.fun
+                    continue
+""",
+           """                    continue
+""",
+           "applicative walk: the F-compound rule's N P not checked after a step"),
     Mutant(_TERMS,
-           "        fh, ah = u.fun._h, u.arg._h\n",
-           "        fh, ah = u.fun._h, u.arg._h or 0\n",
-           "hash fill: a parent filled before its argument side"),
-    Mutant(_TERMS,
-           "        fh, ah = u.fun._h, u.arg._h\n",
-           "        fh, ah = u.fun._h, u.arg.h\n",
-           "hash fill: the argument side hashed by recursion"),
-    Mutant(_TERMS,
-           "            u._h = (fh * 2654435761 + ah * 40503 + 3) & _HASH_MASK\n",
-           "            u._h = (fh * 40503 + ah * 2654435761 + 3) & _HASH_MASK\n",
+           "                    u._h = (fh * 2654435761 + ah * 40503 + 3) & _HASH_MASK\n",
+           "                    u._h = (fh * 40503 + ah * 2654435761 + 3) & _HASH_MASK\n",
            "hash fill: the two multipliers swapped"),
+    Mutant(_TERMS,
+           "                stack.append((a.fun, b.fun))\n",
+           "                stack.append((a.fun, b.arg))\n",
+           "equality: a's function side paired with b's argument side"),
+    Mutant(_TERMS,
+           """            elif a.name != b.name:  # Atom or Var
+                return False
+""",
+           "",
+           "equality: leaf names not compared"),
+    Mutant(_TERMS,
+           """        if self.size != other.size:
+            return False
+""",
+           "",
+           "equality: no reject on the roots' sizes",
+           equivalent="the size test only rejects early: the pair walk compares "
+           "every node kind and leaf name, so two terms of different sizes "
+           "differ somewhere it looks, and it answers the same"),
     Mutant(_TERMS,
            "        self.ops = _VAR_BIT\n",
            "        self.ops = 0\n",
@@ -175,6 +208,18 @@ MUTANTS = [
            "    foreign = t.ops & ~(calc.op_mask | _VAR_BIT)\n",
            "    foreign = t.ops & ~calc.op_mask\n",
            "check_calculus: the variable bit counts as a foreign operator"),
+    Mutant(_TURING,
+           "            if steps + passed < budget and not (endless and at + passed > last):\n",
+           "            if not (endless and at + passed > last):\n",
+           "Turing sweep: a sweep may cross the budget"),
+    Mutant(_TURING,
+           "            if steps + passed < budget and not (endless and at + passed > last):\n",
+           "            if steps + passed <= budget and not (endless and at + passed > last):\n",
+           "Turing sweep: a sweep may end exactly on the budget",
+           equivalent="a sweep keeps its state and leaves the cells it passes as they "
+           "were, so taking it to the budget changes only the head, which a run does not "
+           "report; the next turn stops on the budget with the same status, "
+           "steps and tape"),
 ]
 
 

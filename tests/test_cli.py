@@ -256,10 +256,9 @@ class TestGodel:
         assert run("godel", "--decode", "--calc", "sk", "2")[:2] == (EXIT_OK, "K\n")
 
     def test_decode_of_non_code_fails(self):
-        for value in ("0", "3"):
-            code, out, err = run("godel", "--decode", value)
-            assert code == EXIT_ERROR
-            assert "codes no term" in err
+        for value in ("0", "3", "14"):  # 14 pairs 3, which codes nothing, with 1
+            assert run("godel", "--decode", value) == (
+                EXIT_ERROR, "", f"error: {value} codes no term\n")
 
     def test_open_term_has_no_code(self):
         # gnum's own refusal, reported by main.
@@ -584,6 +583,20 @@ class TestDemo:
         assert code == EXIT_BUDGET
         assert line in out.splitlines()
         assert "false" not in out and "distinguish" not in out
+
+    def test_budget_stops_on_the_probes_print_as_budget(self):
+        assert run("demo", "skk-sks", "--budget", "1") == (EXIT_BUDGET, (
+            "calculus: sk\n"
+            "left:  SKK\n"
+            "right: SKS\n"
+            "probes: 99 closed terms (all normal forms to size 5, plus seeded random terms)\n"
+            "  SKK (K) = (budget)   SKS (K) = (budget)\n"
+            "  SKK (S) = (budget)   SKS (S) = (budget)\n"
+            "  SKK (KK) = (budget)   SKS (KK) = (budget)\n"
+            "  SKK (KS) = (budget)   SKS (KS) = (budget)\n"
+            "extensionally agree on the whole corpus: True\n"
+            "SF eq: budget exhausted after 1 steps on the images S(FF)(FF) and S(FF)S\n"
+        ), "")
 
     def test_sf_equality_demo(self):
         code, out, err = run("demo", "sf-equality")

@@ -215,3 +215,19 @@ def test_hash_of_a_fresh_spine_is_linear(side):
         return lambda: t.h
 
     assert_linear(make)
+
+
+def test_equality_of_two_doubling_towers_built_apart_is_linear():
+    # No hash and no shared object: only the pair walk's `seen` set
+    # keeps this from visiting all 2**(k + 1) - 1 tree nodes.
+    def tower(k):
+        t = Var("x")
+        for _ in range(k):
+            t = App(t, t)
+        return t
+
+    def make(k):
+        a, b = tower(k), tower(k)
+        return lambda: a == b
+
+    assert_linear(make)

@@ -46,7 +46,7 @@ from sfcalc.models import (
 )
 from sfcalc.stdlib import church
 from sfcalc.syntax import render
-from sfcalc.terms import App, Calculus, F, S, Var, app
+from sfcalc.terms import App, Calculus, F, K, S, Var, app
 from sfcalc.turing import IDENTITY_MACHINE, parse_machine, turing_model
 from sfcalc.witnesses import (
     SimulationCase,
@@ -601,6 +601,7 @@ class TestNumbering:
     def test_gterm_rejects_non_codes(self):
         assert gterm(0, SF) is None
         assert gterm(3, SF) is None  # would need components coded 0
+        assert gterm(14, SF) is None  # pairs 3, which codes nothing, with 1
         assert gterm(-1, SF) is None
 
     def test_gterm_depends_on_calculus(self):
@@ -679,6 +680,7 @@ class TestModels:
         assert model.contains(S) and model.contains(App(S, S))
         assert not model.contains(app(S, S, S, S))  # a redex is not a value
         assert not model.contains(Var("x"))
+        assert not model.contains(App(S, K))  # K is not an SF operator
         got = model.apply(sf_terms["succ"], [sf_terms["c1"]])
         assert got.status == "ok" and got.value == sf_terms["c2"]
 

@@ -58,6 +58,8 @@ class TestConstruction:
     def test_unknown_operator_rejected(self):
         with pytest.raises(ValueError):
             Atom("Q")
+        with pytest.raises(ValueError, match="unknown operator 'X'"):
+            terms.atom("X")
 
     def test_illegal_variable_names_rejected(self):
         for bad in ("S", "K", "F", "Name", "x-y", ""):
@@ -97,6 +99,8 @@ class TestConstruction:
         assert App(S, K) == App(S, K)
         assert App(S, K) != App(K, S)
         assert len({App(S, K), App(S, K), App(K, S)}) == 2
+        assert S.__eq__("S") is NotImplemented
+        assert (S == "S") is False and (S != "S") is True
 
     def test_equality_walks_shared_nodes_once(self):
         def tower(leaf, depth=64):  # 2**65 - 1 tree nodes, 65 distinct ones
