@@ -172,7 +172,7 @@ def _cmd_reduce(args, out, err, traced: bool = False) -> int:
         print(f"budget exhausted after {outcome.steps_taken} steps", file=err)
         return EXIT_BUDGET
     if outcome.status is Status.STUCK:
-        print(f"stuck ({outcome.reason}) after {outcome.steps_taken} steps", file=err)
+        print(f"stuck (varheaded-f) after {outcome.steps_taken} steps", file=err)
     return EXIT_OK
 
 
@@ -206,27 +206,17 @@ def _cmd_eq(args, out, err) -> int:
     return EXIT_OK
 
 
-def _cmd_godel(args, out, err) -> int:
-    calc = _calc(args)
+def _cmd_code(args, out, err, encode, decode) -> int:
+    """godel and polish: the code of a term, or with --decode the term a
+    code stands for (`decode` gives None when it stands for none)."""
     if args.decode:
-        term = gterm(code_from_digits(args.value), calc)
+        term = decode(args.value, _calc(args))
         if term is None:
             print(f"error: {args.value} codes no term", file=err)
             return EXIT_ERROR
         print(render(term), file=out)
         return EXIT_OK
-    term = _parse_term(args.value, args, err)
-    print(gnum_digits(term), file=out)
-    return EXIT_OK
-
-
-def _cmd_polish(args, out, err) -> int:
-    calc = _calc(args)
-    if args.decode:
-        print(render(from_polish(args.value, calc)), file=out)
-        return EXIT_OK
-    term = _parse_term(args.value, args, err)
-    print(to_polish(term), file=out)
+    print(encode(_parse_term(args.value, args, err)), file=out)
     return EXIT_OK
 
 
@@ -343,13 +333,16 @@ def _demo_sf_equality(args, out, err) -> int:
     results = {}
     for label, a, b in (("eq left right", left, right), ("eq left left", left, left)):
         outcome = normalize(app(bindings["eq"], a, b), calc, budget=args.budget)
-        word = "true" if outcome.term == bindings["true"] else "false"
+        word = next((w for w in ("true", "false") if outcome.term == bindings[w]),
+                    "(unexpected)")
         if outcome.status is Status.BUDGET:
             word = "(budget)"
         results[label] = word
         print(f"{label} = {word}   ({outcome.steps_taken} steps)", file=out)
     if "(budget)" in results.values():
         return EXIT_BUDGET
+    if "(unexpected)" in results.values():
+        return EXIT_ERROR
     print(
         "the equality program separates terms that behave identically "
         "under application, which no program of the sk calculus can do",
@@ -469,9 +462,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, strategy=False)
     p.set_defaults(run=_cmd_eq)
 
-    for name, help_, noun, handler in (
-        ("godel", "code of a closed term", "code", _cmd_godel),
-        ("polish", "Polish word of a closed term", "word", _cmd_polish),
+    for name, help_, noun, encode, decode in (
+        ("godel", "code of a closed term", "code",
+         gnum_digits, lambda text, calc: gterm(code_from_digits(text), calc)),
+        ("polish", "Polish word of a closed term", "word", to_polish, from_polish),
     ):
         p = sub.add_parser(name, help=f"{help_} (or --decode)")
         p.add_argument("value")
@@ -480,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
         decode_or_prelude.add_argument("--decode", action="store_true",
                                        help=f"treat value as a {noun}")
         _add_prelude(decode_or_prelude)
-        p.set_defaults(run=handler)
+        p.set_defaults(run=functools.partial(_cmd_code, encode=encode, decode=decode))
 
     p = sub.add_parser("lambda", help="translate a de Bruijn lambda term")
     p.add_argument("expr")

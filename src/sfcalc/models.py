@@ -6,7 +6,7 @@ Three models of computation are wrapped behind one interface:
   naturals, evaluated with a budget),
 * the normal-reduction model (closed combinator terms applied and reduced
   to normal form), and
-* the Turing model (machines over tape words, defined in `turing`).
+* the Turing model (machines over tape words, run by `turing`).
 
 The module also provides the pairing-based code of closed operator terms
 (`gnum` / `gterm`, with `gnum_digits` to print a code and
@@ -26,6 +26,7 @@ from typing import Any, Callable, Iterable, NamedTuple, Sequence, Union
 from .reduction import DEFAULT_BUDGET, Status, normalize
 from .syntax import render
 from .terms import ARITY, App, Atom, Calculus, S, Term, app, atom, check_calculus
+from .turing import MachineError, MachineSpec, run_machine
 
 # --- recursive functions --------------------------------------------------------
 
@@ -576,11 +577,11 @@ class Model(NamedTuple):
     apply: Callable[[object, Sequence[object]], ModelResult]
 
 
-def recursive_model(budget: int = DEFAULT_REC_BUDGET) -> Model:
+def recursive_model() -> Model:
     """Programs are recursive-function expressions, values are naturals."""
 
     def apply(program: object, args: Sequence[object]) -> ModelResult:
-        out = eval_rec(program, list(args), budget)  # type: ignore[arg-type]
+        out = eval_rec(program, list(args))  # type: ignore[arg-type]
         if out.status == "ok":
             return ModelResult("ok", out.value)
         return ModelResult("budget")
@@ -616,6 +617,28 @@ def normal_model(calc: Calculus, budget: int = DEFAULT_BUDGET) -> Model:
         return ModelResult("undefined")
 
     return Model(name=f"normal-{calc.value}", contains=contains, apply=apply)
+
+
+def turing_model() -> Model:
+    """Programs are machine specs, values are tape words.  Acceptance
+    yields the final tape's non-blank span; rejection is undefined."""
+
+    def apply(program: object, args: Sequence[object]) -> ModelResult:
+        if not isinstance(program, MachineSpec):
+            raise MachineError("turing programs are machine specs")
+        (word,) = args
+        run = run_machine(program, word)  # type: ignore[arg-type]
+        if run.status == "accept":
+            return ModelResult("ok", run.word)
+        if run.status == "reject":
+            return ModelResult("undefined")
+        return ModelResult("budget")
+
+    return Model(
+        name="turing",
+        contains=lambda x: isinstance(x, str),
+        apply=apply,
+    )
 
 
 # --- report tables --------------------------------------------------------------

@@ -83,11 +83,10 @@ class Step(NamedTuple):
 
 
 class ReduceOutcome(NamedTuple):
-    status: Status
+    status: Status  # STUCK: a fully applied F has a variable-headed first argument
     term: Term  # normal form, partial term, or stuck term
     steps_taken: int
     steps: tuple[Step, ...] = ()  # populated only when tracing
-    reason: Optional[str] = None  # "varheaded-f" for stuck outcomes
 
     @property
     def is_normal(self) -> bool:
@@ -373,7 +372,7 @@ def normalize(
     if not finished:
         return ReduceOutcome(Status.BUDGET, term, n, steps)
     if _blocked_f_positions(term):
-        return ReduceOutcome(Status.STUCK, term, n, steps, "varheaded-f")
+        return ReduceOutcome(Status.STUCK, term, n, steps)
     return ReduceOutcome(Status.NORMAL, term, n, steps)
 
 

@@ -42,8 +42,6 @@ import sys
 from array import array
 from typing import Mapping, NamedTuple
 
-from .models import Model, ModelResult
-
 _MOVES = {"L": -1, "R": 1, "S": 0}
 
 # The codec that reads each cell of a tape array with this typecode as
@@ -336,24 +334,3 @@ def equality_step_bound(n: int) -> int:
     most one full sweep right and back, which is quadratic overall."""
     return 2 * n * n + 8 * n + 8
 
-
-def turing_model(budget: int = DEFAULT_TM_BUDGET) -> Model:
-    """Programs are machine specs, values are tape words.  Acceptance
-    yields the final tape's non-blank span; rejection is undefined."""
-
-    def apply(program: object, args: object) -> ModelResult:
-        if not isinstance(program, MachineSpec):
-            raise MachineError("turing programs are machine specs")
-        (word,) = args  # type: ignore[misc]
-        run = run_machine(program, word, budget)
-        if run.status == "accept":
-            return ModelResult("ok", run.word)
-        if run.status == "reject":
-            return ModelResult("undefined")
-        return ModelResult("budget")
-
-    return Model(
-        name="turing",
-        contains=lambda x: isinstance(x, str),
-        apply=apply,
-    )

@@ -36,10 +36,11 @@ from .models import (
     normal_model,
     recursive_model,
     show_value,
+    turing_model,
 )
 from .stdlib import build_catalog, church
 from .terms import App, Atom, Calculus, Term
-from .turing import IDENTITY_MACHINE, turing_model
+from .turing import IDENTITY_MACHINE
 
 # --- recursive-function arithmetic ----------------------------------------------
 

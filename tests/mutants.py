@@ -173,6 +173,34 @@ MUTANTS = [
            """                    continue
 """,
            "applicative walk: the F-compound rule's N P not checked after a step"),
+    Mutant(_REDUCTION,
+           "            if op is None or w.nargs + len(extras) < ARITY[op]:\n",
+           "            if op is None or w.nargs + len(extras) <= ARITY[op]:\n",
+           "stabilize: a spine with exactly its head's arity counts as stable"),
+    Mutant(_REDUCTION,
+           "            while w.nargs > ARITY[op]:\n",
+           "            while w.nargs >= ARITY[op]:\n",
+           "stabilize: the redex's last argument peeled and put back, a new App a step"),
+    Mutant(_REDUCTION,
+           "                args = [a1, w.fun.arg, w.arg, *reversed(extras)]\n",
+           "                args = [a1, w.fun.arg, w.arg, *extras]\n",
+           "deferred F: the arguments past its redex kept last first"),
+    Mutant(_REDUCTION,
+           "                frame[4] = False  # a deferred F's argument: blocked for good\n",
+           "",
+           "deferred F: the flag not cleared when its argument comes back normal"),
+    Mutant(_REDUCTION,
+           "                args[0] = _rebuild([], w, extras)\n",
+           "                args[0] = w\n",
+           "resume: the deferred F's first argument loses its arguments past the redex"),
+    Mutant(_REDUCTION,
+           "        if stack and stack[-1][4]:\n",
+           "        if stack:\n",
+           "resume: any frame, not only a deferred F, is folded back into an F"),
+    Mutant(_REDUCTION,
+           "            if h is not None and w.nargs + len(extras) < ARITY[h]:\n",
+           "            if h is not None and w.nargs + len(extras) <= ARITY[h]:\n",
+           "resume: a fully applied operator counts as factorable"),
     Mutant(_TERMS,
            "                    u._h = (fh * 2654435761 + ah * 40503 + 3) & _HASH_MASK\n",
            "                    u._h = (fh * 40503 + ah * 2654435761 + 3) & _HASH_MASK\n",

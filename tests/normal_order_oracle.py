@@ -127,7 +127,7 @@ def _rescan(find: Callable[[Term], Hit], t: Term, budget: int) -> ReduceOutcome:
         hit = find(current)
         if hit is None:
             if _stuck(current):
-                return ReduceOutcome(Status.STUCK, current, taken, tuple(trail), "varheaded-f")
+                return ReduceOutcome(Status.STUCK, current, taken, tuple(trail))
             return ReduceOutcome(Status.NORMAL, current, taken, tuple(trail))
         if taken >= budget:
             return ReduceOutcome(Status.BUDGET, current, taken, tuple(trail))

@@ -30,6 +30,7 @@ try:
 except ImportError:  # not on every platform
     resource = None
 
+from sfcalc import cli
 from sfcalc.cli import (
     EXIT_BUDGET,
     EXIT_ERROR,
@@ -44,7 +45,7 @@ from sfcalc.cli import (
 from sfcalc.models import cantor_pair, enumerate_normal_forms
 from sfcalc.reduction import Strategy, normalize
 from sfcalc.syntax import MAX_PRINT_NODES, parse, render
-from sfcalc.terms import App, Calculus, Var, app
+from sfcalc.terms import App, Calculus, S, Var, app
 
 
 def run(*argv: str) -> tuple[int, str, str]:
@@ -604,6 +605,17 @@ class TestDemo:
         assert "eq left right = false" in out
         assert "eq left left = true" in out
 
+    def test_sf_equality_demo_reads_false_only_from_the_catalog(self, monkeypatch):
+        # An eq that answers neither true nor false gives no verdict: the
+        # demo prints its answer as unexpected and makes no claim.
+        catalog = cli.load_default_prelude
+        monkeypatch.setattr(cli, "load_default_prelude", lambda calc: {**catalog(calc), "eq": S})
+        code, out, err = run("demo", "sf-equality")
+        assert code == EXIT_ERROR
+        assert "eq left right = (unexpected)   (0 steps)" in out.splitlines()
+        assert "eq left left = (unexpected)   (0 steps)" in out.splitlines()
+        assert "separates" not in out and "false" not in out
+
     def test_recursive_equiv_demo(self):
         code, out, err = run("demo", "sf-recursive-equiv")
         assert code == EXIT_OK
@@ -635,6 +647,9 @@ class TestDemo:
                            "m for m in sys.modules if m.split('.')[0] == 'sfcalc'));"
                            "print(repr(t.App(t.S, t.K)))")
         assert proc.stdout.splitlines() == ["['sfcalc', 'sfcalc.terms']", "SK"]
+        proc, _ = imported("-c", "import sys, sfcalc.turing; print(sorted("
+                           "m for m in sys.modules if m.split('.')[0] == 'sfcalc'))")
+        assert proc.stdout.splitlines() == ["['sfcalc', 'sfcalc.turing']"]
         package = ast.parse((Path(__file__).parent.parent / "src/sfcalc/__init__.py").read_text())
         assert len(package.body) == 1 and ast.get_docstring(package)
 

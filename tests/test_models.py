@@ -23,6 +23,8 @@ from sfcalc.models import (
     CheckReport,
     CheckRow,
     Comp,
+    Model,
+    ModelResult,
     Mu,
     PrimRec,
     Proj,
@@ -43,11 +45,12 @@ from sfcalc.models import (
     recursive_model,
     show_value,
     sqrtrem,
+    turing_model,
 )
 from sfcalc.stdlib import church
 from sfcalc.syntax import render
 from sfcalc.terms import App, Calculus, F, K, S, Var, app
-from sfcalc.turing import IDENTITY_MACHINE, parse_machine, turing_model
+from sfcalc.turing import IDENTITY_MACHINE, parse_machine
 from sfcalc.witnesses import (
     SimulationCase,
     WeakEquivalenceCase,
@@ -671,9 +674,12 @@ class TestModels:
         assert model.apply(never, [0]).status == "budget"
 
     def test_recursive_model_budget_status(self):
-        model = recursive_model(budget=3)
+        # add costs 3y + 2 evaluations, charged in one check: 3 * 10**6 + 2
+        # is past the default budget.
+        model = recursive_model()
         add = PrimRec(Proj(1, 1), Comp(SUCC, (Proj(2, 3),)))
-        assert model.apply(add, [5, 5]).status == "budget"
+        assert 3 * 10**6 + 2 > models.DEFAULT_REC_BUDGET
+        assert model.apply(add, [5, 10**6]).status == "budget"
 
     def test_normal_model(self, sf_terms):
         model = normal_model(SF)
@@ -707,6 +713,10 @@ class TestShowValue:
         text = show_value(10**300)
         assert text.startswith("~10^") and "300" in text
         assert show_value(2 * 10**61) == "~10^61"
+
+
+# A model whose every application exhausts its budget.
+EXHAUSTED = Model("exhausted", lambda x: True, lambda program, args: ModelResult("budget"))
 
 
 class TestReports:
@@ -743,10 +753,9 @@ class TestReports:
         assert report.rows[0] == CheckRow("(2, 3)", "5", "6", "mismatch")
 
     def test_check_simulation_skips_source_budget(self):
-        tight = recursive_model(budget=2)
         add = PrimRec(Proj(1, 1), Comp(SUCC, (Proj(2, 3),)))
         case = SimulationCase(
-            "skip", "", tight, recursive_model(), lambda n: n, add, add, ((3, 3),)
+            "skip", "", EXHAUSTED, recursive_model(), lambda n: n, add, add, ((3, 3),)
         )
         report = case.run()
         assert len(report.skipped) == 1 and report.ok
@@ -755,7 +764,7 @@ class TestReports:
     def test_check_simulation_target_budget_is_a_violation(self):
         add = PrimRec(Proj(1, 1), Comp(SUCC, (Proj(2, 3),)))
         case = SimulationCase(
-            "tight", "", recursive_model(), recursive_model(budget=2),
+            "tight", "", recursive_model(), EXHAUSTED,
             lambda n: n, add, add, ((3, 3),),
         )
         assert case.run().rows == [CheckRow("(3, 3)", "6", "(budget)", "target-budget")]

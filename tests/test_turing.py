@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
-from sfcalc.models import enumerate_normal_forms, random_closed_term
+from sfcalc.models import enumerate_normal_forms, random_closed_term, turing_model
 from sfcalc.syntax import to_polish
 from sfcalc.terms import Calculus
 from sfcalc.turing import (
@@ -20,7 +20,6 @@ from sfcalc.turing import (
     equality_step_bound,
     parse_machine,
     run_machine,
-    turing_model,
 )
 from turing_oracle import reference_run_machine
 
@@ -178,8 +177,10 @@ class TestTuringModel:
             model.apply(EQUALITY_MACHINE_TEXT, ["S#S"])
 
     def test_model_budget(self):
-        model = turing_model(budget=2)
-        assert model.apply(EQUALITY_MACHINE, ["ASS#ASS"]).status == "budget"
+        # A machine that stays in place forever is charged the whole
+        # default budget at once.
+        loop = parse_machine(BASE + "a A -> a A S\n")
+        assert turing_model().apply(loop, ["A"]).status == "budget"
 
 
 def _agree(spec, word, budgets):
